@@ -3,27 +3,24 @@
 
 Each route computes the same function by genuinely different means, so
 their pairwise agreement over a long range is strong evidence against a
-bug hiding in any single one.  This prints per-route timings; the point
-is not speed but independence.
+bug hiding in any single one.  The routes come from the registry that
+`hofg check` uses; each is compared against the defining-equation table.
+This prints per-route timings; the point is not speed but independence.
 """
 
 import argparse
 import time
 
-from hofg import (
-    MemoTable,
-    g_via_decomposition,
-    g_via_phi,
-    gbar_via_complement,
-    gbar_via_flip,
-    gbar_via_g_correction,
-)
+from hofg import MemoTable
+from hofg.portfolio import ROUTES, compare
+
+COUNT = {4: "four", 5: "five"}
 
 
 def timed(label, fn):
     started = time.perf_counter()
     result = fn()
-    print(f"  {label:<28} {time.perf_counter() - started:6.2f} s")
+    print(f"  {label:<45} {time.perf_counter() - started:6.2f} s")
     return result
 
 
@@ -34,42 +31,19 @@ def main() -> None:
     args = parser.parse_args()
     top = args.max
 
-    print(f"g routes over [0, {top}]:")
-    runs = {
-        "defining equation": timed(
-            "defining equation", lambda: MemoTable("g").prefix(top + 1)),
-        "difference bits": timed(
-            "difference bits",
-            lambda: MemoTable("g", rule="delta").prefix(top + 1)),
-        "rank shift": timed(
-            "rank shift",
-            lambda: [g_via_decomposition(n) for n in range(top + 1)]),
-        "golden-ratio floor": timed(
-            "golden-ratio floor",
-            lambda: [g_via_phi(n) for n in range(top + 1)]),
-    }
-    agree = len({tuple(v) for v in runs.values()}) == 1
-    print(f"  all four agree: {agree}")
-
-    print(f"gbar routes over [0, {top}]:")
-    runs = {
-        "defining equation": timed(
-            "defining equation", lambda: MemoTable("gbar").prefix(top + 1)),
-        "difference bits": timed(
-            "difference bits",
-            lambda: MemoTable("gbar", rule="delta").prefix(top + 1)),
-        "flip conjugation": timed(
-            "flip conjugation",
-            lambda: [gbar_via_flip(n) for n in range(top + 1)]),
-        "three-odd correction": timed(
-            "three-odd correction",
-            lambda: [gbar_via_g_correction(n) for n in range(top + 1)]),
-        "complement ranks": timed(
-            "complement ranks",
-            lambda: [gbar_via_complement(n) for n in range(top + 1)]),
-    }
-    agree = len({tuple(v) for v in runs.values()}) == 1
-    print(f"  all five agree: {agree}")
+    for func in ("g", "gbar"):
+        print(f"{func} routes over [0, {top}]:")
+        expect = timed("defining equation",
+                       lambda: MemoTable(func).prefix(top + 1))
+        routes = [route for route in ROUTES if route.func == func]
+        agree = True
+        for route in routes:
+            ok, detail = timed(route.name, lambda: compare(route, expect, top))
+            if not ok:
+                print(f"    {detail}")
+            agree = agree and ok
+        count = len(routes) + 1
+        print(f"  all {COUNT.get(count, count)} agree: {agree}")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .flip_gbar import (
 )
 from .g_func import (
     PHI_DOMAIN,
+    TABLE_MAX,
     Arity,
     MemoTable,
     g,

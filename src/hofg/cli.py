@@ -15,21 +15,14 @@ import sys
 import time
 
 from .errors import HofgError
-from .flip_gbar import (
-    depth,
-    flip,
-    gbar,
-    gbar_values,
-    gbar_via_complement,
-    gbar_via_flip,
-    gbar_via_g_correction,
-)
-from .g_func import PHI_DOMAIN, MemoTable, g, g_values, g_via_decomposition, g_via_phi
+from .flip_gbar import depth, flip, gbar, gbar_values
+from .g_func import g, g_values
 from .oeis import parse_bfile, verify
+from .portfolio import ROUTES, compare
 from .tree import build_tree, export_dot
 from .zeckendorf import RankClass, classify, decompose, fib_sum_text, low, normalize, relax
 
-_CHECK_ALGOS = ("decomposition", "delta", "phi", "flip", "correction", "complement")
+_CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 
 
@@ -151,50 +144,14 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep(limit: int, fn, expect: list[int], lo: int = 0) -> tuple[bool, str]:
-    if all(fn(n) == expect[n] for n in range(lo, limit + 1)):
-        return True, f"n={lo}..{limit}"
-    bad = next(n for n in range(lo, limit + 1) if fn(n) != expect[n])
-    return False, f"first mismatch at n={bad}: {fn(bad)} != {expect[bad]}"
-
-
 def _check_suites(max_n: int, algos: set[str]):
     """Yield (name, ok, detail) for every selected cross-validation suite."""
     gv = g_values(max_n + 1)
-
-    if "decomposition" in algos:
-        yield ("g: defining = decomposition",
-               *_sweep(max_n, g_via_decomposition, gv))
-    if "delta" in algos:
-        dv = MemoTable("g", rule="delta").prefix(max_n + 1)
-        if dv == gv:
-            yield ("g: defining = delta", True, f"n=0..{max_n}")
-        else:
-            bad = next(n for n in range(max_n + 1) if dv[n] != gv[n])
-            yield ("g: defining = delta", False,
-                   f"first mismatch at n={bad}: {dv[bad]} != {gv[bad]}")
-    if "phi" in algos:
-        top = min(max_n, PHI_DOMAIN - 1)
-        yield ("g: defining = phi floor", *_sweep(top, g_via_phi, gv))
-
     bv = gbar_values(max_n + 1)
-    if "flip" in algos:
-        yield ("gbar: defining = flip conjugation",
-               *_sweep(max_n, gbar_via_flip, bv))
-    if "delta" in algos:
-        dv = MemoTable("gbar", rule="delta").prefix(max_n + 1)
-        if dv == bv:
-            yield ("gbar: defining = delta", True, f"n=0..{max_n}")
-        else:
-            bad = next(n for n in range(max_n + 1) if dv[n] != bv[n])
-            yield ("gbar: defining = delta", False,
-                   f"first mismatch at n={bad}: {dv[bad]} != {bv[bad]}")
-    if "correction" in algos:
-        yield ("gbar: defining = g + three-odd correction",
-               *_sweep(max_n, gbar_via_g_correction, bv))
-    if "complement" in algos:
-        yield ("gbar: defining = complement ranks",
-               *_sweep(max_n, gbar_via_complement, bv))
+    for route in ROUTES:
+        if route.key in algos:
+            yield (route.name,
+                   *compare(route, gv if route.func == "g" else bv, max_n))
 
     # invariant spot checks, always on, capped
     cap = min(max_n, _SPOT_CAP)

@@ -27,9 +27,12 @@ from .zeckendorf import Decomposition, _greedy_ranks, low, normalize, sum_of
 # mirror function).  Stored as a plain int.
 DeltaBit = int
 
-# Domain cap for the closed-form route; the other routes are bounded only by
-# memory (dense tables) or rank 91 (decompositions).
+# Domain cap for the closed-form route; the rank routes are bounded by rank
+# 91 (decompositions), the dense tables by TABLE_MAX.
 PHI_DOMAIN = 1 << 31
+
+# Most entries a MemoTable holds (about 4 GB at ~40 bytes per entry).
+TABLE_MAX = 10**8
 
 _SEEDS = {
     ("g", "defining"): (0,),
@@ -56,7 +59,15 @@ class MemoTable:
     algorithm ("defining" for the function's own equation, "delta" for the
     difference-bit recurrence).  Both rules produce the same values; they
     exist separately so equivalence checks compare genuinely different code
-    paths.
+    paths.  With the shift c = 0 for g and c = 1 for gbar, entry m is
+
+        defining:  m + c - v[c + v[m-1]]
+        delta:     v[m-1] + 1 - d(m-2) * d(j),  j = v[m-2+c]
+
+    where d(i) = v[i+1] - v[i] is the step bit.  The gbar delta rule holds
+    only from m = 5, hence its longer seed run.  A table holds at most
+    TABLE_MAX entries; asking for more raises DomainError before anything
+    is allocated.
     """
 
     def __init__(self, which: str = "g", rule: str = "defining"):
@@ -67,7 +78,6 @@ class MemoTable:
         self.which = which
         self.rule = rule
         self._values: list[int] = list(seeds)
-        self._fill = getattr(self, f"_fill_{which}_{rule}")
 
     def __len__(self) -> int:
         return len(self._values)
@@ -75,6 +85,9 @@ class MemoTable:
     def ensure(self, n: int) -> None:
         """Extend the table so that index n is populated."""
         if n >= len(self._values):
+            if n >= TABLE_MAX:
+                raise DomainError(f"index {n} needs a table of more than "
+                                  f"TABLE_MAX = {TABLE_MAX} entries")
             self._fill(n)
 
     def value(self, n: int) -> int:
@@ -91,44 +104,17 @@ class MemoTable:
             self.ensure(count - 1)
         return self._values[:count]
 
-    def _fill_g_defining(self, n: int) -> None:
+    def _fill(self, n: int) -> None:
         v = self._values
         append = v.append
-        m = len(v)
-        while m <= n:
-            append(m - v[v[m - 1]])
-            m += 1
-
-    def _fill_gbar_defining(self, n: int) -> None:
-        v = self._values
-        append = v.append
-        m = len(v)
-        while m <= n:
-            append(m + 1 - v[1 + v[m - 1]])
-            m += 1
-
-    def _fill_g_delta(self, n: int) -> None:
-        # step bit: d(m+1) = 1 - d(m) * d(g(m)), with d(m) = g(m+1) - g(m)
-        v = self._values
-        append = v.append
-        m = len(v)
-        while m <= n:
-            k = m - 2
-            j = v[k]
-            append(v[k + 1] + 1 - (v[k + 1] - v[k]) * (v[j + 1] - v[j]))
-            m += 1
-
-    def _fill_gbar_delta(self, n: int) -> None:
-        # mirror step bit: d(m+1) = 1 - d(m) * d(gbar(m+1)), valid for m > 2,
-        # hence the longer seed run (indices 0..4).
-        v = self._values
-        append = v.append
-        m = len(v)
-        while m <= n:
-            k = m - 2
-            q = v[k + 1]
-            append(v[k + 1] + 1 - (v[k + 1] - v[k]) * (v[q + 1] - v[q]))
-            m += 1
+        c = 1 if self.which == "gbar" else 0
+        if self.rule == "defining":
+            for m in range(len(v), n + 1):
+                append(m + c - v[c + v[m - 1]])
+        else:
+            for m in range(len(v), n + 1):
+                j = v[m - 2 + c]
+                append(v[m - 1] + 1 - (v[m - 1] - v[m - 2]) * (v[j + 1] - v[j]))
 
 
 _G = MemoTable("g")

@@ -1,0 +1,64 @@
+"""The route registry: every independent route to g and gbar, listed once.
+
+`hofg check` and demos/cross_validation.py both iterate ROUTES and compare
+each route against the defining-equation table of its function.  A route
+added here is checked everywhere; a route dropped here is checked nowhere.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+from .flip_gbar import gbar_via_complement, gbar_via_flip, gbar_via_g_correction
+from .g_func import PHI_DOMAIN, MemoTable, g_via_decomposition, g_via_phi
+
+
+@dataclass(frozen=True)
+class Route:
+    """One route: func is "g" or "gbar", key its `--algorithms` name, name
+    the suite name `check` prints; values(top) yields the route's values at
+    0..top; limit, when set, is the largest n the route accepts."""
+
+    func: str
+    key: str
+    name: str
+    values: Callable[[int], Iterable[int]]
+    limit: int | None = None
+
+
+def _scalar(fn: Callable[[int], int]) -> Callable[[int], Iterable[int]]:
+    return lambda top: map(fn, range(top + 1))
+
+
+def _delta_table(which: str) -> Callable[[int], Iterable[int]]:
+    return lambda top: MemoTable(which, rule="delta").prefix(top + 1)
+
+
+ROUTES = (
+    Route("g", "decomposition", "g: defining = decomposition",
+          _scalar(g_via_decomposition)),
+    Route("g", "delta", "g: defining = delta", _delta_table("g")),
+    Route("g", "phi", "g: defining = phi floor", _scalar(g_via_phi),
+          PHI_DOMAIN - 1),
+    Route("gbar", "flip", "gbar: defining = flip conjugation",
+          _scalar(gbar_via_flip)),
+    Route("gbar", "delta", "gbar: defining = delta", _delta_table("gbar")),
+    Route("gbar", "correction", "gbar: defining = g + three-odd correction",
+          _scalar(gbar_via_g_correction)),
+    Route("gbar", "complement", "gbar: defining = complement ranks",
+          _scalar(gbar_via_complement)),
+)
+
+
+def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:
+    """Sweep route over 0..max_n (or its limit) against expect in one pass.
+
+    Returns (ok, detail): detail is the checked range "n=0..N", or the
+    first disagreement "first mismatch at n=k: route value != expected".
+    """
+    top = max_n if route.limit is None else min(max_n, route.limit)
+    for n, got in enumerate(route.values(top)):
+        if got != expect[n]:
+            return False, f"first mismatch at n={n}: {got} != {expect[n]}"
+    return True, f"n=0..{top}"

@@ -12,13 +12,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import hofg
-from hofg import g_values, parse_bfile
+import hofg.cli as cli
+from hofg import MemoTable, g_values, parse_bfile
 from hofg.cli import run
+from hofg.portfolio import ROUTES
 
 
 def invoke(capsys, *argv):
@@ -40,6 +43,15 @@ def test_eval_domain_error_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_eval_beyond_table_cap_exits_one(capsys):
+    code, out, err = invoke(capsys, "eval", "g", "3000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "TABLE_MAX" in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -131,14 +143,56 @@ def test_check_unknown_algorithm(capsys):
     assert "astrology" in err
 
 
+def sabotage(monkeypatch, func, key, values):
+    """Make check iterate a registry whose (func, key) route yields values."""
+    routes = tuple(replace(r, values=values) if (r.func, r.key) == (func, key)
+                   else r for r in ROUTES)
+    monkeypatch.setattr(cli, "ROUTES", routes)
+
+
 def test_check_reports_failures(capsys, monkeypatch):
     # sabotage one route to prove a red suite turns into exit 1
-    import hofg.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "g_via_phi", lambda n: 0)
+    sabotage(monkeypatch, "g", "phi", lambda top: [0] * (top + 1))
     code, out, _ = invoke(capsys, "check", "--max", "200")
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
+    assert "first mismatch at n=1: 0 != 1" in out
     assert "SUMMARY: 11/12 suites passed" in out
+    # a table route reports through the same comparison: gbar's table
+    # leaves g's at the first three-odd number, gbar(7) = 5 != 4 = g(7)
+    sabotage(monkeypatch, "g", "delta",
+             lambda top: MemoTable("gbar", rule="delta").prefix(top + 1))
+    code, out, _ = invoke(capsys, "check", "--max", "200")
+    assert code == 1
+    assert "FAIL  g: defining = delta" in out
+    assert "first mismatch at n=7: 5 != 4" in out
+    assert "PASS  g: defining = phi floor" in out
+    assert "SUMMARY: 11/12 suites passed" in out
+
+
+def test_check_routes_come_from_the_registry(capsys):
+    # (function, --algorithms key, suite name) of every route, in check order
+    assert [(r.func, r.key, r.name) for r in ROUTES] == [
+        ("g", "decomposition", "g: defining = decomposition"),
+        ("g", "delta", "g: defining = delta"),
+        ("g", "phi", "g: defining = phi floor"),
+        ("gbar", "flip", "gbar: defining = flip conjugation"),
+        ("gbar", "delta", "gbar: defining = delta"),
+        ("gbar", "correction", "gbar: defining = g + three-odd correction"),
+        ("gbar", "complement", "gbar: defining = complement ranks"),
+    ]
+    keys = list(dict.fromkeys(r.key for r in ROUTES))
+    code, out, _ = invoke(capsys, "check", "--help")
+    assert code == 0
+    assert "'all' or comma list from: " + ",".join(keys) in " ".join(out.split())
+    for key in keys:
+        code, out, _ = invoke(capsys, "check", "--max", "30", "--algorithms", key)
+        assert code == 0
+        names = [r.name for r in ROUTES if r.key == key]
+        lines = out.splitlines()
+        assert lines[:len(names)] == [f"PASS  {n:<45} n=0..30" for n in names]
+        total = len(names) + 5  # plus the invariant suites
+        assert lines[-1].startswith(f"SUMMARY: {total}/{total} suites passed")
 
 
 def test_verify_pass_and_json(capsys, tmp_path):

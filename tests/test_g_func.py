@@ -1,11 +1,14 @@
 """The staircase function: four routes, its equation laws, the memo table."""
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from hofg import (
     PHI_DOMAIN,
+    TABLE_MAX,
     Arity,
     MemoTable,
     RankClass,
@@ -18,9 +21,11 @@ from hofg import (
     g_via_decomposition,
     g_via_delta,
     g_via_phi,
+    gbar_via_flip,
     low,
 )
 from hofg.errors import DomainError
+from hofg.g_func import _SEEDS
 
 N = 20_000
 
@@ -203,6 +208,31 @@ def test_memo_table_flavors():
         MemoTable("h")
     fresh = MemoTable("g")
     assert fresh.prefix(100) == g_values(100)
+
+
+@pytest.mark.parametrize("which, rule", list(_SEEDS))
+def test_dropped_memo_table_is_freed_without_the_cycle_collector(which, rule):
+    gc.disable()
+    try:
+        t = MemoTable(which, rule)
+        t.ensure(1000)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_table_size_cap():
+    # beyond TABLE_MAX entries a table refuses before allocating anything
+    t = MemoTable("gbar")
+    with pytest.raises(DomainError, match="TABLE_MAX"):
+        t.prefix(TABLE_MAX + 1)
+    assert len(t) == len(_SEEDS[("gbar", "defining")])
+    with pytest.raises(DomainError, match="TABLE_MAX"):
+        g(TABLE_MAX)
+    with pytest.raises(DomainError, match="TABLE_MAX"):
+        gbar_via_flip(fib(60))
 
 
 def test_memo_table_concurrent_readers():
