@@ -97,10 +97,11 @@ def gbar_via_complement(n: int) -> int:
     """gbar(n) by rank arithmetic on the complement within n's depth block.
 
     For n >= 2 with k = depth(n): decompose F(k+2) - n canonically and
-    subtract the rank-shifted complement from F(k+1), adding 1 back when the
-    complement uses rank 2 (the F(1)/F(2) fixup going the other way):
+    subtract the rank-shifted complement from F(k+1), leaving out a rank-2
+    term (its shifted F(1) = 1 would be subtracted and then added back,
+    because F(1) = F(2)):
 
-        gbar(n) = F(k+1) - sum(F(i-1) for ranks i) + (1 if rank 2 is used)
+        gbar(n) = F(k+1) - sum(F(i-1) for ranks i > 2)
     """
     if n < 0:
         raise DomainError(f"gbar_via_complement: n must be >= 0, got {n}")
@@ -108,10 +109,7 @@ def gbar_via_complement(n: int) -> int:
         return n
     k = depth(n)
     ranks = _greedy_ranks(fib(k + 2) - n)
-    value = fib(k + 1) - sum(_FIB[i - 1] for i in ranks)
-    if ranks and ranks[0] == 2:
-        value += 1
-    return value
+    return fib(k + 1) - sum(_FIB[i - 1] for i in ranks if i > 2)
 
 
 def gbar_rightmost_child(n: int) -> int:

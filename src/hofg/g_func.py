@@ -21,11 +21,7 @@ from math import isqrt
 
 from .errors import DomainError
 from .fibonacci import _FIB, checked_add
-from .zeckendorf import Decomposition, _greedy_ranks, low, normalize, sum_of
-
-# A DeltaBit is the difference g(n+1) - g(n): always 0 or 1 (same for the
-# mirror function).  Stored as a plain int.
-DeltaBit = int
+from .zeckendorf import _greedy_ranks, low
 
 # Domain cap for the closed-form route; the rank routes are bounded by rank
 # 91 (decompositions), the dense tables by TABLE_MAX.
@@ -140,22 +136,13 @@ def g_values(count: int) -> list[int]:
 def g_via_decomposition(n: int) -> int:
     """g(n) by rank arithmetic, no recursion.
 
-    Shift every rank of the canonical decomposition of n down by one; a rank
-    that lands on 1 is repaired to 2 (F(1) = F(2), value unchanged); if the
-    repair produced the consecutive pair 2,3 the result is folded back to
-    canonical form.  The represented value is g(n).
+    g(n) is the sum of F(k-1) over the ranks k of the canonical
+    decomposition of n.  A rank 2 shifts to rank 1, which needs no repair
+    because F(1) = F(2).
     """
     if n < 0:
         raise DomainError(f"g_via_decomposition: n must be >= 0, got {n}")
-    if n == 0:
-        return 0
-    shifted = [k - 1 for k in _greedy_ranks(n)]
-    if shifted[0] == 1:
-        shifted[0] = 2
-        if len(shifted) > 1 and shifted[1] == 3:
-            # the only spot where the shifted form leaves canonical shape
-            return sum_of(normalize(Decomposition(tuple(shifted), gap=1)))
-    return sum(_FIB[k] for k in shifted)
+    return sum(_FIB[k - 1] for k in _greedy_ranks(n))
 
 
 def g_via_delta(n: int, table: MemoTable | None = None) -> int:

@@ -69,7 +69,12 @@ class RankClass(Enum):
 
 
 def _greedy_ranks(n: int) -> list[int]:
-    """Canonical ranks of n, ascending.  Internal fast path, no wrapping."""
+    """Canonical ranks of n, ascending: the one greedy walk.
+
+    Every rank route (decompose, low, classify, g_via_decomposition,
+    gbar_via_complement) reads this list; none walks the ranks itself.
+    Internal fast path, no wrapping.
+    """
     ranks: list[int] = []
     m = n
     while m:
@@ -134,13 +139,7 @@ def low(n: int) -> int:
     """Lowest rank in the canonical decomposition of n >= 1."""
     if n < 1:
         raise DomainError(f"low: n must be >= 1, got {n}")
-    m = n
-    k = fib_inv(m)
-    while True:
-        m -= _FIB[k]
-        if not m:
-            return k
-        k = fib_inv(m)
+    return _greedy_ranks(n)[0]
 
 
 def classify(n: int) -> RankClass:

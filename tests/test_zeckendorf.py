@@ -6,6 +6,8 @@ serves as the other's oracle.
 """
 
 import random
+from bisect import bisect_left
+from math import isqrt
 
 import pytest
 
@@ -16,6 +18,8 @@ from hofg import (
     decompose,
     fib,
     fib_sum_text,
+    g_via_decomposition,
+    gbar_via_complement,
     low,
     next_three_odd,
     normalize,
@@ -253,3 +257,71 @@ def test_fib_sum_text():
     assert fib_sum_text(decompose(11)) == "F_4+F_6"
     assert fib_sum_text(decompose(0)) == "0"
     assert fib_sum_text(decompose(1)) == "F_2"
+
+
+# Oracles for the rank routes across the whole domain, sharing no code with
+# the package: a local Fibonacci list, a local greedy split, the exact golden
+# floor for g, and gbar by conjugating that floor with a local flip.
+_F = [0, 1]
+while len(_F) < 95:
+    _F.append(_F[-2] + _F[-1])
+_INV_EDGE = _F[92]  # first n whose greedy split would need rank 92
+_COMPLEMENT_EDGE = _F[91] + 1  # first n whose depth block ends at F(92)
+
+
+def _ranks_oracle(n):
+    ranks = []
+    while n:
+        k = bisect_left(_F, n + 1) - 1
+        ranks.append(k)
+        n -= _F[k]
+    return ranks[::-1]
+
+
+def _g_oracle(n):
+    m = n + 1
+    return (m + isqrt(5 * m * m)) // 2 - m
+
+
+def _flip_oracle(n):
+    if n <= 1:
+        return n
+    k = bisect_left(_F, n) - 2  # n lies in [1 + F(k+1), F(k+2)]
+    return 1 + _F[k + 3] - n
+
+
+def _log_uniform_points(rng, edge, count):
+    """edge - 1 plus count - 1 points in [1, edge), uniform in bit length."""
+    top = (edge - 1).bit_length()
+    points = [edge - 1]
+    for _ in range(count - 1):
+        b = rng.randint(1, top)
+        points.append(rng.randrange(1 << (b - 1), min(1 << b, edge)))
+    return points
+
+
+def test_rank_route_domain_edges():
+    last = _INV_EDGE - 1
+    assert low(last) == _ranks_oracle(last)[0]
+    assert list(decompose(last).ranks) == _ranks_oracle(last)
+    assert classify(last) is THREE_ODD  # F(3) + F(5) + ... + F(91)
+    assert g_via_decomposition(last) == _g_oracle(last)
+    for route in (low, classify, decompose, g_via_decomposition):
+        with pytest.raises(RankOverflow):
+            route(_INV_EDGE)
+    last = _COMPLEMENT_EDGE - 1
+    assert last == fib(91)
+    assert gbar_via_complement(last) == _flip_oracle(_g_oracle(_flip_oracle(last)))
+    with pytest.raises(RankOverflow):
+        gbar_via_complement(_COMPLEMENT_EDGE)
+
+
+def test_rank_routes_at_random_points_across_the_domain():
+    rng = random.Random(20260)
+    for n in _log_uniform_points(rng, _INV_EDGE, 2000):
+        ranks = _ranks_oracle(n)
+        assert list(decompose(n).ranks) == ranks, n
+        assert low(n) == ranks[0], n
+        assert g_via_decomposition(n) == _g_oracle(n), n
+    for n in _log_uniform_points(rng, _COMPLEMENT_EDGE, 2000):
+        assert gbar_via_complement(n) == _flip_oracle(_g_oracle(_flip_oracle(n))), n
