@@ -4,7 +4,10 @@ Subcommands: eval (one value), seq (a range), decomp (Fibonacci-sum form),
 tree (DOT export), check (cross-validation of the whole algorithm
 portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
 computation or conformance failure, 2 usage.  The environment variable
-HOFG_MAX_N, when set, caps the ranges touched by seq and check.
+HOFG_MAX_N, when set, caps the ranges touched by seq and check.  check
+--max 100000 and above runs its suites in one forked process per available
+CPU (about 10 s instead of 18 s at 10^6 on two CPUs), at the cost of the
+table pages each worker copies (summed memory 162 -> about 260 MB at 10^6).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 from .errors import HofgError
 from .flip_gbar import depth, flip, gbar, gbar_values
@@ -24,6 +28,7 @@ from .zeckendorf import RankClass, classify, decompose, fib_sum_text, low, norma
 
 _CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
+_PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
 
 
 def _nonneg(text: str) -> int:
@@ -144,18 +149,59 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_suites(max_n: int, algos: set[str]):
-    """Yield (name, ok, detail) for every selected cross-validation suite."""
-    gv = g_values(max_n + 1)
-    bv = gbar_values(max_n + 1)
-    for route in ROUTES:
-        if route.key in algos:
-            yield (route.name,
-                   *compare(route, gv if route.func == "g" else bv, max_n))
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    # invariant spot checks, always on, capped
+
+def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) of ROUTES[task], or of the invariant suites when
+    task is len(ROUTES).  A task reads the shared g and gbar tables and
+    nothing another task computed."""
+    if task < len(ROUTES):
+        route = ROUTES[task]
+        expect = (g_values if route.func == "g" else gbar_values)(max_n + 1)
+        return [(route.name, *compare(route, expect, max_n))]
+    return list(_invariant_suites(max_n))
+
+
+def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) of every selected suite, in registry order.
+
+    From _PARALLEL_MIN up, forked workers run the suites, one task each,
+    and inherit the filled tables and ROUTES; below it, or with one CPU or
+    no fork, the same tasks run here in turn.
+    """
+    g(max_n)  # fill the shared tables once, before any fork
+    gbar(max_n)
+    tasks = [i for i, route in enumerate(ROUTES) if route.key in algos]
+    tasks.append(len(ROUTES))
+    run_task = partial(_check_task, max_n=max_n)
+    workers = min(len(tasks), _cpus())
+    if max_n >= _PARALLEL_MIN and workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            sys.stdout.flush()  # a worker flushes what it inherits on exit
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                chunks = list(pool.map(run_task, tasks))
+            except BrokenProcessPool as exc:
+                raise HofgError(f"a check worker died: {exc}") from None
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return [suite for chunk in chunks for suite in chunk]
+    return [suite for chunk in map(run_task, tasks) for suite in chunk]
+
+
+def _invariant_suites(max_n: int):
+    """Yield (name, ok, detail) for the five invariant spot checks."""
     cap = min(max_n, _SPOT_CAP)
-    gg = g_values(cap + gv[cap] + 2) if cap else g_values(3)
+    gg = g_values(cap + g(cap) + 2) if cap else g_values(3)
     ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
              for n in range(cap + 1))
     yield ("invariant: largest antecedent", ok, f"n=0..{cap}")
@@ -202,8 +248,6 @@ def _check_suites(max_n: int, algos: set[str]):
         lo_n = lo_next
     yield ("invariant: successor rank transitions", ok, f"n=1..{cap}")
 
-    return
-
 
 def _cmd_check(args: argparse.Namespace) -> int:
     max_n = _capped(args.max, "--max")
@@ -217,7 +261,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     started = time.perf_counter()
-    results = list(_check_suites(max_n, algos))
+    results = _check_suites(max_n, algos)
     elapsed = time.perf_counter() - started
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<45} {detail}")
@@ -260,6 +304,9 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except HofgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

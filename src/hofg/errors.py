@@ -23,20 +23,27 @@ class ValueOverflow(HofgError):
     """A checked integer operation left the supported value range."""
 
 
-class ParseError(HofgError):
+class _LineError(HofgError):
+    """An error at a 1-based b-file line, carried as line_no.
+
+    The arguments stay in args, so the error survives pickling (a check
+    worker's exceptions cross a process boundary).
+    """
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(line_no, message)
+        self.line_no = line_no
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.args[1]}"
+
+
+class ParseError(_LineError):
     """A b-file line is malformed. Carries the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
-
-class GapError(HofgError):
+class GapError(_LineError):
     """B-file indices are not consecutive."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class DepthLimit(HofgError):

@@ -8,7 +8,9 @@ way a console-script wrapper does.
 """
 
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -19,8 +21,9 @@ import pytest
 
 import hofg
 import hofg.cli as cli
-from hofg import MemoTable, g_values, parse_bfile
+from hofg import MemoTable, errors, g_values, parse_bfile
 from hofg.cli import run
+from hofg.errors import DomainError, HofgError
 from hofg.portfolio import ROUTES
 
 
@@ -170,6 +173,81 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert "SUMMARY: 11/12 suites passed" in out
 
 
+PARALLEL_MAX = str(cli._PARALLEL_MIN)  # the smallest --max run by workers
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="check runs its workers only where fork exists")
+
+
+def raises(exc):
+    """A route values function that raises exc."""
+    def values(top):
+        raise exc
+    return values
+
+
+@needs_fork
+def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    parallel = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    serial = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    for code, out, err in (parallel, serial):
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("SUMMARY: 12/12 suites passed in ")
+    assert parallel[1].splitlines()[:-1] == serial[1].splitlines()[:-1]
+
+
+@needs_fork
+def test_check_parallel_reports_failures(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    sabotage(monkeypatch, "g", "phi", lambda top: [0] * (top + 1))
+    code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert code == 1
+    assert "FAIL  g: defining = phi floor" in out
+    assert "first mismatch at n=1: 0 != 1" in out
+    assert "SUMMARY: 11/12 suites passed" in out
+
+
+@needs_fork
+def test_check_worker_domain_error_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    sabotage(monkeypatch, "gbar", "flip", raises(DomainError("sabotaged route")))
+    code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert (code, out, err) == (1, "", "error: sabotaged route\n")
+
+
+@needs_fork
+def test_check_worker_death_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    sabotage(monkeypatch, "g", "phi", lambda top: os._exit(3))
+    code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a check worker died")
+    assert "Traceback" not in err
+
+
+def test_check_memory_error_exits_one(capsys, monkeypatch):
+    sabotage(monkeypatch, "g", "delta", raises(MemoryError()))
+    code, out, err = invoke(capsys, "check", "--max", "200")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_every_error_survives_pickling():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, HofgError)]
+    assert len(classes) >= 8
+    for cls in classes:
+        lined = issubclass(cls, errors._LineError)  # ParseError, GapError
+        exc = cls(2, "x") if lined else cls("x")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) == ("line 2: x" if lined else "x")
+        assert getattr(back, "line_no", None) == (2 if lined else None)
+
+
 def test_check_routes_come_from_the_registry(capsys):
     # (function, --algorithms key, suite name) of every route, in check order
     assert [(r.func, r.key, r.name) for r in ROUTES] == [
@@ -300,3 +378,10 @@ def test_installed_entry_points():
     out = run_package(argv + ["eval", "g", "10"])
     assert out.returncode == 0, out.stderr
     assert out.stdout == "6\n", out.stderr
+
+
+def test_import_leaves_the_worker_pool_unloaded():
+    code = ("import sys, hofg.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('multiprocessing', 'concurrent'))))")
+    out = run_package([sys.executable, "-c", code])
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
