@@ -24,7 +24,6 @@ from .flip_gbar import (
     gbar_rightmost_child,
     gbar_values,
     gbar_via_complement,
-    gbar_via_delta,
     gbar_via_flip,
     gbar_via_g_correction,
 )
@@ -38,7 +37,6 @@ from .g_func import (
     g_max_antecedent,
     g_values,
     g_via_decomposition,
-    g_via_delta,
     g_via_phi,
 )
 from .oeis import (

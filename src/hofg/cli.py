@@ -19,8 +19,8 @@ import time
 from functools import partial
 
 from .errors import HofgError
-from .flip_gbar import depth, flip, gbar, gbar_values
-from .g_func import g, g_values
+from .flip_gbar import depth, flip, gbar, gbar_values, gbar_via_complement
+from .g_func import g, g_values, g_via_decomposition
 from .oeis import parse_bfile, verify
 from .portfolio import ROUTES, compare
 from .tree import build_tree, export_dot
@@ -107,7 +107,8 @@ def _capped(value: int, what: str) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    fn = {"g": g, "gbar": gbar, "flip": flip, "depth": depth, "low": low}[args.func]
+    fn = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
+          "depth": depth, "low": low}[args.func]
     print(fn(args.n))
     return 0
 
@@ -183,25 +184,34 @@ def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str]]:
     if max_n >= _PARALLEL_MIN and workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             from concurrent.futures.process import BrokenProcessPool
             sys.stdout.flush()  # a worker flushes what it inherits on exit
+            others = set(multiprocessing.active_children())
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))
+            futures = [pool.submit(run_task, task) for task in tasks]
             try:
-                chunks = list(pool.map(run_task, tasks))
-            except BrokenProcessPool as exc:
-                raise HofgError(f"a check worker died: {exc}") from None
-            finally:
+                for future in as_completed(futures):
+                    future.result()  # the first error raises here
+            except BaseException as exc:
+                # stop the pool's workers: shutdown would wait for the
+                # suites they are still running
+                for child in set(multiprocessing.active_children()) - others:
+                    child.terminate()
                 pool.shutdown(cancel_futures=True)
-            return [suite for chunk in chunks for suite in chunk]
+                if isinstance(exc, BrokenProcessPool):
+                    raise HofgError(f"a check worker died: {exc}") from None
+                raise
+            pool.shutdown()
+            return [suite for future in futures for suite in future.result()]
     return [suite for chunk in map(run_task, tasks) for suite in chunk]
 
 
 def _invariant_suites(max_n: int):
     """Yield (name, ok, detail) for the five invariant spot checks."""
     cap = min(max_n, _SPOT_CAP)
-    gg = g_values(cap + g(cap) + 2) if cap else g_values(3)
+    gg = g_values(cap + g(cap) + 2)
     ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
              for n in range(cap + 1))
     yield ("invariant: largest antecedent", ok, f"n=0..{cap}")

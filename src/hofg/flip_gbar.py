@@ -21,7 +21,6 @@ from .g_func import Arity, MemoTable, g, g_arity
 from .zeckendorf import RankClass, _greedy_ranks, classify
 
 _GBAR = MemoTable("gbar")
-_GBAR_DELTA = MemoTable("gbar", rule="delta")
 
 
 def depth(n: int) -> int:
@@ -57,8 +56,6 @@ def gbar(n: int, table: MemoTable | None = None) -> int:
     The equation holds for n > 3; indices 0..3 are seeded (0, 1, 1, 2).
     Pass a fresh MemoTable("gbar") to avoid the shared cache.
     """
-    if n < 0:
-        raise DomainError(f"gbar: n must be >= 0, got {n}")
     return (_GBAR if table is None else table).value(n)
 
 
@@ -72,13 +69,6 @@ def gbar_via_flip(n: int) -> int:
     if n < 0:
         raise DomainError(f"gbar_via_flip: n must be >= 0, got {n}")
     return flip(g(flip(n)))
-
-
-def gbar_via_delta(n: int, table: MemoTable | None = None) -> int:
-    """gbar(n) by accumulating difference bits (MemoTable rule "delta")."""
-    if n < 0:
-        raise DomainError(f"gbar_via_delta: n must be >= 0, got {n}")
-    return (_GBAR_DELTA if table is None else table).value(n)
 
 
 def gbar_via_g_correction(n: int) -> int:

@@ -88,7 +88,7 @@ class MemoTable:
 
     def value(self, n: int) -> int:
         if n < 0:
-            raise DomainError(f"table index must be >= 0, got {n}")
+            raise DomainError(f"{self.which}: n must be >= 0, got {n}")
         self.ensure(n)
         return self._values[n]
 
@@ -114,7 +114,6 @@ class MemoTable:
 
 
 _G = MemoTable("g")
-_G_DELTA = MemoTable("g", rule="delta")
 
 
 def g(n: int, table: MemoTable | None = None) -> int:
@@ -123,8 +122,6 @@ def g(n: int, table: MemoTable | None = None) -> int:
     Pass a fresh MemoTable("g") as table to avoid the shared module-level
     cache (pure mode for tests).
     """
-    if n < 0:
-        raise DomainError(f"g: n must be >= 0, got {n}")
     return (_G if table is None else table).value(n)
 
 
@@ -143,13 +140,6 @@ def g_via_decomposition(n: int) -> int:
     if n < 0:
         raise DomainError(f"g_via_decomposition: n must be >= 0, got {n}")
     return sum(_FIB[k - 1] for k in _greedy_ranks(n))
-
-
-def g_via_delta(n: int, table: MemoTable | None = None) -> int:
-    """g(n) by accumulating difference bits (see MemoTable rule "delta")."""
-    if n < 0:
-        raise DomainError(f"g_via_delta: n must be >= 0, got {n}")
-    return (_G_DELTA if table is None else table).value(n)
 
 
 def g_via_phi(n: int) -> int:

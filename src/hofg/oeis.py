@@ -18,6 +18,12 @@ from .flip_gbar import gbar
 from .g_func import g
 
 
+# resolve_offset tries these offsets, which cover the usual OEIS index
+# conventions around 0, against this many leading records.
+_OFFSETS = range(-3, 4)
+_PROBE = 10
+
+
 class BFileRecord(NamedTuple):
     index: int
     value: int
@@ -141,23 +147,17 @@ def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyRepo
     return VerifyReport(func, offset, len(records), mismatches, first)
 
 
-def resolve_offset(
-    records: list[BFileRecord],
-    func: str,
-    candidates: Iterable[int] = range(-3, 4),
-    probe: int = 10,
-) -> int:
-    """Find the offset under which the first `probe` records match func.
+def resolve_offset(records: list[BFileRecord], func: str) -> int:
+    """Find the offset under which the first _PROBE records match func.
 
-    Returns the first candidate (in the given order) that matches; raises
-    DomainError when none does.  Default candidates cover the usual OEIS
-    index conventions around 0.
+    Returns the first of _OFFSETS (in order) that matches; raises
+    DomainError when none does.
     """
     fn = _func_named(func)
-    head = records[:probe]
+    head = records[:_PROBE]
     if not head:
         raise DomainError("resolve_offset: no records to probe")
-    for offset in candidates:
+    for offset in _OFFSETS:
         if head[0].index + offset < 0:
             continue
         if all(fn(r.index + offset) == r.value for r in head):

@@ -11,20 +11,19 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .flip_gbar import gbar_via_complement, gbar_via_flip, gbar_via_g_correction
-from .g_func import PHI_DOMAIN, MemoTable, g_via_decomposition, g_via_phi
+from .g_func import MemoTable, g_via_decomposition, g_via_phi
 
 
 @dataclass(frozen=True)
 class Route:
     """One route: func is "g" or "gbar", key its `--algorithms` name, name
     the suite name `check` prints; values(top) yields the route's values at
-    0..top; limit, when set, is the largest n the route accepts."""
+    0..top."""
 
     func: str
     key: str
     name: str
     values: Callable[[int], Iterable[int]]
-    limit: int | None = None
 
 
 def _scalar(fn: Callable[[int], int]) -> Callable[[int], Iterable[int]]:
@@ -39,8 +38,7 @@ ROUTES = (
     Route("g", "decomposition", "g: defining = decomposition",
           _scalar(g_via_decomposition)),
     Route("g", "delta", "g: defining = delta", _delta_table("g")),
-    Route("g", "phi", "g: defining = phi floor", _scalar(g_via_phi),
-          PHI_DOMAIN - 1),
+    Route("g", "phi", "g: defining = phi floor", _scalar(g_via_phi)),
     Route("gbar", "flip", "gbar: defining = flip conjugation",
           _scalar(gbar_via_flip)),
     Route("gbar", "delta", "gbar: defining = delta", _delta_table("gbar")),
@@ -52,13 +50,12 @@ ROUTES = (
 
 
 def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:
-    """Sweep route over 0..max_n (or its limit) against expect in one pass.
+    """Sweep route over 0..max_n against expect in one pass.
 
     Returns (ok, detail): detail is the checked range "n=0..N", or the
     first disagreement "first mismatch at n=k: route value != expected".
     """
-    top = max_n if route.limit is None else min(max_n, route.limit)
-    for n, got in enumerate(route.values(top)):
+    for n, got in enumerate(route.values(max_n)):
         if got != expect[n]:
             return False, f"first mismatch at n={n}: {got} != {expect[n]}"
-    return True, f"n=0..{top}"
+    return True, f"n=0..{max_n}"

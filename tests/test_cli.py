@@ -14,6 +14,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,8 +49,23 @@ def test_eval_domain_error_exits_one(capsys):
     assert err.startswith("error:")
 
 
-def test_eval_beyond_table_cap_exits_one(capsys):
-    code, out, err = invoke(capsys, "eval", "g", "3000000000")
+def test_eval_answers_up_to_the_rank_edges(capsys):
+    # eval g and gbar use rank arithmetic, not a table: they answer up to
+    # F(92) - 1 and F(91), and refuse one above without a traceback
+    f92 = hofg.fib(90) + hofg.fib(91)
+    assert invoke(capsys, "eval", "g", str(f92 - 1)) == (
+        0, "4660046610375530308\n", "")
+    assert invoke(capsys, "eval", "gbar", str(hofg.fib(91))) == (
+        0, "2880067194370816120\n", "")
+    for func, n in (("g", f92), ("gbar", hofg.fib(91) + 1)):
+        code, out, err = invoke(capsys, "eval", func, str(n))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_seq_beyond_table_cap_exits_one(capsys):
+    code, out, err = invoke(capsys, "seq", "g", "--to", "3000000000")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
@@ -215,6 +231,29 @@ def test_check_worker_domain_error_exits_one(capsys, monkeypatch):
     sabotage(monkeypatch, "gbar", "flip", raises(DomainError("sabotaged route")))
     code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert (code, out, err) == (1, "", "error: sabotaged route\n")
+
+
+@needs_fork
+def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    # the error must not wait for a suite that another worker is running
+    swaps = {"decomposition": lambda top: time.sleep(60) or [],
+             "flip": raises(DomainError("sabotaged route"))}
+    monkeypatch.setattr(cli, "ROUTES", tuple(
+        replace(r, values=swaps[r.key]) if r.key in swaps else r for r in ROUTES))
+    # ... and must stop only the pool's workers, not the caller's children
+    bystander = multiprocessing.get_context("fork").Process(
+        target=time.sleep, args=(60,))
+    bystander.start()
+    try:
+        started = time.perf_counter()
+        code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
+        assert (code, out, err) == (1, "", "error: sabotaged route\n")
+        assert time.perf_counter() - started < 20
+        assert multiprocessing.active_children() == [bystander]
+    finally:
+        bystander.terminate()
+        bystander.join()
 
 
 @needs_fork

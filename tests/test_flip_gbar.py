@@ -23,7 +23,6 @@ from hofg import (
     gbar_rightmost_child,
     gbar_values,
     gbar_via_complement,
-    gbar_via_delta,
     gbar_via_flip,
     gbar_via_g_correction,
 )
@@ -125,11 +124,13 @@ def test_five_way_equivalence():
 
 
 def test_every_route_rejects_negatives():
-    routes = (gbar, gbar_via_flip, gbar_via_delta, gbar_via_g_correction,
-              gbar_via_complement)
+    routes = (gbar, gbar_via_flip, MemoTable("gbar", rule="delta").value,
+              gbar_via_g_correction, gbar_via_complement)
     for fn in routes:
         with pytest.raises(DomainError):
             fn(-1)
+    with pytest.raises(DomainError, match=r"^gbar: n must be >= 0, got -1$"):
+        gbar(-1)
 
 
 def test_defining_equation_as_stated():

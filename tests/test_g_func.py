@@ -19,7 +19,6 @@ from hofg import (
     g_max_antecedent,
     g_values,
     g_via_decomposition,
-    g_via_delta,
     g_via_phi,
     gbar_via_flip,
     low,
@@ -41,9 +40,11 @@ def test_shift_example():
 
 
 def test_every_route_rejects_negatives():
-    for fn in (g, g_via_decomposition, g_via_delta, g_via_phi):
+    for fn in (g, g_via_decomposition, MemoTable("g", rule="delta").value, g_via_phi):
         with pytest.raises(DomainError):
             fn(-1)
+    with pytest.raises(DomainError, match=r"^g: n must be >= 0, got -1$"):
+        g(-1)
 
 
 def test_four_way_equivalence():
@@ -62,6 +63,9 @@ def test_phi_route_domain_cap():
     assert g_via_phi(PHI_DOMAIN - 1) >= 0
     with pytest.raises(DomainError):
         g_via_phi(PHI_DOMAIN)
+    # check compares every route against a table, so no check range
+    # reaches the phi route's cap
+    assert TABLE_MAX < PHI_DOMAIN
 
 
 def test_steps_are_zero_or_one_and_onto():
