@@ -6,7 +6,7 @@ portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
 computation or conformance failure, 2 usage.  The environment variable
 HOFG_MAX_N, when set, caps the ranges touched by seq and check.  check
 --max 100000 and above runs its suites in one forked process per available
-CPU (about 10 s instead of 18 s at 10^6 on two CPUs), at the cost of the
+CPU (about 9 s instead of 17 s at 10^6 on two CPUs), at the cost of the
 table pages each worker copies (summed memory 162 -> about 260 MB at 10^6).
 """
 

@@ -15,6 +15,7 @@ canonical form ambiguous.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,12 +74,14 @@ def _greedy_ranks(n: int) -> list[int]:
 
     Every rank route (decompose, low, classify, g_via_decomposition,
     gbar_via_complement) reads this list; none walks the ranks itself.
-    Internal fast path, no wrapping.
+    After F(k) the remainder is below F(k-1), so the next bisect stops at k-2.
     """
+    if not 0 <= n < _INV_LIMIT:
+        fib_inv(n)  # raises fib_inv's DomainError or RankOverflow
     ranks: list[int] = []
-    m = n
+    m, k = n, RANK_MAX + 2
     while m:
-        k = fib_inv(m)
+        k = bisect_right(_FIB, m, 2, k - 1) - 1
         ranks.append(k)
         m -= _FIB[k]
     ranks.reverse()

@@ -5,12 +5,16 @@ independently coded (merge-highest-pair versus greedy-from-the-top), so each
 serves as the other's oracle.
 """
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from math import isqrt
 
 import pytest
 
+import hofg
 from hofg import (
     Decomposition,
     RankClass,
@@ -27,6 +31,8 @@ from hofg import (
     sum_of,
 )
 from hofg.errors import DomainError, RankOverflow, ValueOverflow
+from hofg.fibonacci import _INV_LIMIT
+from hofg.zeckendorf import _greedy_ranks
 
 TWO = RankClass.TWO
 THREE_ODD = RankClass.THREE_ODD
@@ -325,3 +331,31 @@ def test_rank_routes_at_random_points_across_the_domain():
         assert g_via_decomposition(n) == _g_oracle(n), n
     for n in _log_uniform_points(rng, _COMPLEMENT_EDGE, 2000):
         assert gbar_via_complement(n) == _flip_oracle(_g_oracle(_flip_oracle(n))), n
+
+
+def test_greedy_walk_matches_a_full_table_walk():
+    # the walk bisects only below its last rank; the oracle bisects the whole
+    # table for every term, so agreement on each n pins that no rank is lost
+    for n in range(300_001):
+        assert _greedy_ranks(n) == _ranks_oracle(n), n
+
+
+def test_greedy_walk_domain_edges():
+    assert _INV_LIMIT == _INV_EDGE
+    assert _greedy_ranks(_INV_LIMIT - 1) == _ranks_oracle(_INV_LIMIT - 1)
+    for n in (_INV_LIMIT, 2**63 - 1):
+        with pytest.raises(RankOverflow):
+            _greedy_ranks(n)
+
+
+def test_greedy_walk_rejects_negatives_without_looping():
+    # a bisect for m < 1 answers rank 1, and peeling F(1) never reaches 0, so
+    # a walk without its lower bound hangs: here that fails after 10 s
+    src = os.path.dirname(os.path.dirname(hofg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1].endswith(
+        "DomainError: fib_inv: n must be >= 1, got -1"), out.stderr
