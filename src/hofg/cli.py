@@ -284,7 +284,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.bfile, encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 1
     report = verify(parse_bfile(text), args.func, args.offset)

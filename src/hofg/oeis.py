@@ -9,8 +9,8 @@ not as exceptions; only malformed input raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import asdict, dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, GapError, ParseError
 from .fibonacci import VALUE_LIMIT
@@ -35,14 +35,6 @@ class Mismatch(NamedTuple):
     computed: int
 
 
-def _func_named(func: str) -> Callable[[int], int]:
-    if func == "g":
-        return g
-    if func == "gbar":
-        return gbar
-    raise DomainError(f"func must be 'g' or 'gbar', got {func!r}")
-
-
 def parse_bfile(text: str) -> list[BFileRecord]:
     """Parse b-file text into records.
 
@@ -59,6 +51,9 @@ def parse_bfile(text: str) -> list[BFileRecord]:
         if len(fields) != 2:
             raise ParseError(line_no, f"expected 2 fields, got {len(fields)}")
         try:
+            for field in fields:  # int() alone would take "1_0", "+0", "١"
+                if not (field[field.startswith("-"):].isdigit() and field.isascii()):
+                    raise ValueError
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {line!r}") from None
@@ -92,35 +87,21 @@ class VerifyReport:
         return self.mismatches == 0
 
     def to_text(self) -> str:
-        lines = [
-            f"func: {self.func}",
-            f"offset: {self.offset}",
-            f"compared: {self.compared}",
-            f"mismatches: {self.mismatches}",
-        ]
-        if self.first_mismatch is not None:
-            m = self.first_mismatch
-            lines.append(
-                f"first mismatch: index {m.index} file {m.file_value} "
-                f"computed {m.computed}")
+        fields = asdict(self)
+        m = fields.pop("first_mismatch")
+        lines = [f"{key}: {value}" for key, value in fields.items()]
+        if m is not None:
+            lines.append(f"first mismatch: index {m.index} file {m.file_value} "
+                         f"computed {m.computed}")
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:
         """One-line machine-readable summary (schema in the README)."""
-        m = self.first_mismatch
-        return json.dumps({
-            "func": self.func,
-            "offset": self.offset,
-            "compared": self.compared,
-            "mismatches": self.mismatches,
-            "first_mismatch": None if m is None else {
-                "index": m.index,
-                "file_value": m.file_value,
-                "computed": m.computed,
-            },
-            "ok": self.ok,
-        })
+        fields = asdict(self)
+        m = fields["first_mismatch"]
+        fields["first_mismatch"] = None if m is None else m._asdict()
+        return json.dumps({**fields, "ok": self.ok})
 
 
 def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyReport:
@@ -130,7 +111,9 @@ def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyRepo
     one is kept with both sides.  A report with zero mismatches over zero
     records is vacuously ok.
     """
-    fn = _func_named(func)
+    if func not in ("g", "gbar"):
+        raise DomainError(f"func must be 'g' or 'gbar', got {func!r}")
+    fn = g if func == "g" else gbar
     if records and records[0].index + offset < 0:
         raise DomainError(
             f"offset {offset} sends index {records[0].index} below 0")
@@ -153,13 +136,10 @@ def resolve_offset(records: list[BFileRecord], func: str) -> int:
     Returns the first of _OFFSETS (in order) that matches; raises
     DomainError when none does.
     """
-    fn = _func_named(func)
     head = records[:_PROBE]
     if not head:
         raise DomainError("resolve_offset: no records to probe")
     for offset in _OFFSETS:
-        if head[0].index + offset < 0:
-            continue
-        if all(fn(r.index + offset) == r.value for r in head):
+        if head[0].index + offset >= 0 and verify(head, func, offset).ok:
             return offset
     raise DomainError(f"resolve_offset: no candidate offset matches {func}")

@@ -52,10 +52,17 @@ ROUTES = (
 def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:
     """Sweep route over 0..max_n against expect in one pass.
 
-    Returns (ok, detail): detail is the checked range "n=0..N", or the
-    first disagreement "first mismatch at n=k: route value != expected".
+    Returns (ok, detail): detail is the checked range "n=0..N", the first
+    disagreement "first mismatch at n=k: route value != expected", or the
+    count of values when the route yields fewer or more than max_n + 1.
     """
-    for n, got in enumerate(route.values(max_n)):
+    values = iter(route.values(max_n))
+    n = -1
+    for n, got in zip(range(max_n + 1), values):
         if got != expect[n]:
             return False, f"first mismatch at n={n}: {got} != {expect[n]}"
+    if n < max_n:
+        return False, f"route yielded {n + 1} values, expected {max_n + 1}"
+    for _ in values:  # one value past max_n is one too many
+        return False, f"route yielded more than {max_n + 1} values"
     return True, f"n=0..{max_n}"

@@ -195,6 +195,28 @@ needs_fork = pytest.mark.skipif(
     reason="check runs its workers only where fork exists")
 
 
+@pytest.mark.parametrize("max_n", ["200", PARALLEL_MAX])
+def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)  # workers from PARALLEL_MAX
+    top = int(max_n)
+    # too few: a correct prefix that stops one short, and nothing at all
+    for short, got in ((g_values, top), (lambda top: [], 0)):
+        sabotage(monkeypatch, "g", "phi", short)
+        code, out, _ = invoke(capsys, "check", "--max", max_n)
+        assert code == 1
+        assert (f"FAIL  {'g: defining = phi floor':<45} "
+                f"route yielded {got} values, expected {top + 1}\n") in out
+        assert "SUMMARY: 11/12 suites passed" in out
+    # too many: a correct sweep with one value past max_n
+    sabotage(monkeypatch, "gbar", "delta",
+             lambda top: MemoTable("gbar", rule="delta").prefix(top + 2))
+    code, out, _ = invoke(capsys, "check", "--max", max_n)
+    assert code == 1
+    assert (f"FAIL  {'gbar: defining = delta':<45} "
+            f"route yielded more than {top + 1} values\n") in out
+    assert "SUMMARY: 11/12 suites passed" in out
+
+
 def raises(exc):
     """A route values function that raises exc."""
     def values(top):
@@ -349,6 +371,15 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert code == 1
     assert "error:" in err
     assert "line 2" in err
+
+
+def test_verify_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"0 0\n1 1\xc3\xa9\n")
+    code, out, err = invoke(capsys, "verify", "--bfile", str(path), "--func", "g")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -55,6 +55,13 @@ def test_parse_rejects_garbage():
         parse_bfile("0 -3\n")
     with pytest.raises(ParseError):
         parse_bfile(f"0 {1 << 63}\n")
+    # int() takes these, but none is a b-file integer
+    for field in ("1_0", "+0", "\u0661", "--1", "-", "0x1", "1.0"):
+        with pytest.raises(ParseError) as err:
+            parse_bfile(f"0 0\n1 {field}\n")
+        assert err.value.line_no == 2
+        with pytest.raises(ParseError):
+            parse_bfile(f"{field} 0\n")
 
 
 def test_parse_line_numbers_count_every_line():
@@ -122,22 +129,26 @@ def test_verify_is_chunk_independent():
 
 
 def test_report_text():
-    text = verify(records((7, 4)), "gbar").to_text()
-    assert "first mismatch: index 7 file 4 computed 5" in text
-    assert text.endswith("result: FAIL\n")
+    text = verify(records((6, 4), (7, 4), (8, 5)), "gbar").to_text()
+    assert text == (
+        "func: gbar\n"
+        "offset: 0\n"
+        "compared: 3\n"
+        "mismatches: 1\n"
+        "first mismatch: index 7 file 4 computed 5\n"
+        "result: FAIL\n")
     assert verify(records((7, 5)), "gbar").to_text().endswith("result: PASS\n")
 
 
 def test_report_json():
-    blob = json.loads(verify(records((7, 4)), "gbar", offset=0).summary_json())
-    assert blob == {
-        "func": "gbar",
-        "offset": 0,
-        "compared": 1,
-        "mismatches": 1,
-        "first_mismatch": {"index": 7, "file_value": 4, "computed": 5},
-        "ok": False,
-    }
+    # the exact string pins the key order as well as the values
+    assert verify(records((7, 4)), "gbar", offset=0).summary_json() == (
+        '{"func": "gbar", "offset": 0, "compared": 1, "mismatches": 1, '
+        '"first_mismatch": {"index": 7, "file_value": 4, "computed": 5}, '
+        '"ok": false}')
+    assert verify(records((1, 0), (2, 1)), "g", offset=-1).summary_json() == (
+        '{"func": "g", "offset": -1, "compared": 2, "mismatches": 0, '
+        '"first_mismatch": null, "ok": true}')
     blob = json.loads(verify([], "g").summary_json())
     assert blob["ok"] is True
     assert blob["first_mismatch"] is None
@@ -161,6 +172,8 @@ def test_resolve_offset_failure_modes():
     junk = [BFileRecord(n, 99) for n in range(10)]
     with pytest.raises(DomainError):
         resolve_offset(junk, "g")
+    with pytest.raises(DomainError, match="func must be 'g' or 'gbar'"):
+        resolve_offset(records((0, 0)), "both")
 
 
 # --- vendored fixtures ---
