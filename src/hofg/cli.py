@@ -6,8 +6,7 @@ portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
 computation or conformance failure, 2 usage.  The environment variable
 HOFG_MAX_N, when set, caps the ranges touched by seq and check.  check
 --max 100000 and above runs its suites in one forked process per available
-CPU (about 9 s instead of 17 s at 10^6 on two CPUs), at the cost of the
-table pages each worker copies (summed memory 162 -> about 260 MB at 10^6).
+CPU.
 """
 
 from __future__ import annotations
@@ -30,6 +29,13 @@ _CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
 
+_EVAL = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
+         "depth": depth, "low": low}
+_SEQ = {"g": (g_values, False), "gbar": (gbar_values, False),  # (table, delta?)
+        "delta-g": (g_values, True), "delta-gbar": (gbar_values, True)}
+_SEQ_FORMATS = {"plain": lambda n, v: f"{v}", "bfile": lambda n, v: f"{n} {v}",
+                "csv": lambda n, v: f"{n},{v}"}
+
 
 def _nonneg(text: str) -> int:
     try:
@@ -48,35 +54,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="print one function value")
-    p.add_argument("func", choices=["g", "gbar", "flip", "depth", "low"])
+    p.set_defaults(run=_cmd_eval)
+    p.add_argument("func", choices=_EVAL)
     p.add_argument("n", type=_nonneg)
 
     p = sub.add_parser("seq", help="print a range of values")
-    p.add_argument("func", choices=["g", "gbar", "delta-g", "delta-gbar"])
+    p.set_defaults(run=_cmd_seq)
+    p.add_argument("func", choices=_SEQ)
     p.add_argument("--from", dest="start", type=_nonneg, default=0,
                    help="first index (default 0)")
     p.add_argument("--to", dest="end", type=_nonneg, required=True,
                    help="last index, inclusive")
-    p.add_argument("--format", choices=["plain", "bfile", "csv"],
-                   default="plain")
+    p.add_argument("--format", choices=_SEQ_FORMATS, default="plain")
 
     p = sub.add_parser("decomp", help="show the canonical Fibonacci-sum form")
+    p.set_defaults(run=_cmd_decomp)
     p.add_argument("n", type=_nonneg)
     p.add_argument("--relaxed-demo", action="store_true",
                    help="also show a relaxed variant and its normalization")
 
     p = sub.add_parser("tree", help="export a tree slice as DOT")
+    p.set_defaults(run=_cmd_tree)
     p.add_argument("func", choices=["g", "gbar"])
     p.add_argument("--depth", type=_nonneg, required=True)
     p.add_argument("--format", choices=["dot"], default="dot")
 
     p = sub.add_parser("check", help="cross-validate all algorithms")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--max", type=_nonneg, default=1_000_000,
                    help="top of the checked range (default 1000000)")
     p.add_argument("--algorithms", default="all",
                    help="'all' or comma list from: " + ",".join(_CHECK_ALGOS))
 
     p = sub.add_parser("verify", help="compare a b-file against g or gbar")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--bfile", required=True)
     p.add_argument("--func", required=True, choices=["g", "gbar"])
     p.add_argument("--offset", type=int, default=0,
@@ -85,31 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_cap() -> int | None:
+def _capped(value: int, what: str) -> int:
     raw = os.environ.get("HOFG_MAX_N")
     if raw is None:
-        return None
+        return value
     try:
         cap = int(raw)
     except ValueError:
         raise HofgError(f"HOFG_MAX_N is not an integer: {raw!r}") from None
     if cap < 0:
         raise HofgError(f"HOFG_MAX_N must be >= 0: {cap}")
-    return cap
-
-
-def _capped(value: int, what: str) -> int:
-    cap = _env_cap()
-    if cap is not None and value > cap:
+    if value > cap:
         print(f"note: {what} capped at {cap} by HOFG_MAX_N", file=sys.stderr)
         return cap
     return value
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    fn = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
-          "depth": depth, "low": low}[args.func]
-    print(fn(args.n))
+    print(_EVAL[args.func](args.n))
     return 0
 
 
@@ -117,19 +121,12 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     end = _capped(args.end, "--to")
     if args.start > end:
         return 0
-    base = args.func.removeprefix("delta-")
-    is_delta = args.func.startswith("delta-")
-    values = (g_values if base == "g" else gbar_values)(end + 2 if is_delta else end + 1)
-    lines = []
-    for n in range(args.start, end + 1):
-        v = values[n + 1] - values[n] if is_delta else values[n]
-        if args.format == "plain":
-            lines.append(f"{v}")
-        elif args.format == "bfile":
-            lines.append(f"{n} {v}")
-        else:
-            lines.append(f"{n},{v}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    table, delta = _SEQ[args.func]
+    values = table(end + 1 + delta)
+    line = _SEQ_FORMATS[args.format]
+    sys.stdout.write("\n".join(
+        line(n, values[n + 1] - values[n] if delta else values[n])
+        for n in range(args.start, end + 1)) + "\n")
     return 0
 
 
@@ -223,39 +220,19 @@ def _invariant_suites(max_n: int):
     ok = all(bb[bb[n]] + bb[n - 1] == n for n in range(4, cap + 1))
     yield ("invariant: gbar alternative equation", ok, f"n=4..{cap}")
 
-    ok = True
-    prev_odd = None
-    first_odd = None
-    for n in range(1, cap + 1):
-        diff = bb[n] - gg[n]
-        is_odd3 = classify(n) is RankClass.THREE_ODD
-        if diff not in (0, 1) or (diff == 1) != is_odd3:
-            ok = False
-            break
-        if is_odd3:
-            if first_odd is None:
-                first_odd = n
-            elif n - prev_odd not in (5, 8):
-                ok = False
-                break
-            prev_odd = n
-    ok = ok and (cap < 7 or first_odd == 7)
+    # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
+    odd3 = [classify(n) is RankClass.THREE_ODD for n in range(1, cap + 1)]
+    marks = [n for n, odd in enumerate(odd3, 1) if odd]
+    ok = (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
+          and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))
+          and marks[:1] == ([7] if cap >= 7 else []))
     yield ("invariant: comparison and three-odd spacing", ok, f"n=1..{cap}")
 
-    ok = True
-    lo_n = low(1)
-    for n in range(1, cap + 1):
-        lo_next = low(n + 1)
-        if lo_n == 2:
-            good = lo_next % 2 == 1
-        elif lo_n == 3:
-            good = lo_next % 2 == 0 and lo_next != 2
-        else:
-            good = lo_next == 2
-        if not good:
-            ok = False
-            break
-        lo_n = lo_next
+    # low(n) = 2 makes low(n+1) odd, 3 makes it even and above 2, and
+    # anything higher makes it 2
+    lows = [low(n) for n in range(1, cap + 2)]
+    ok = all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
+             else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
     yield ("invariant: successor rank transitions", ok, f"n=1..{cap}")
 
 
@@ -264,11 +241,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.algorithms.strip() == "all":
         algos = set(_CHECK_ALGOS)
     else:
-        algos = {t.strip() for t in args.algorithms.split(",") if t.strip()}
+        algos = {t.strip() for t in args.algorithms.split(",")} - {""}
         unknown = algos - set(_CHECK_ALGOS)
         if unknown:
             print(f"error: unknown algorithm(s): {', '.join(sorted(unknown))}",
                   file=sys.stderr)
+            return 2
+        if not algos:
+            print("error: no algorithm selected; choose 'all' or from: "
+                  + ",".join(_CHECK_ALGOS), file=sys.stderr)
             return 2
     started = time.perf_counter()
     results = _check_suites(max_n, algos)
@@ -293,16 +274,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "seq": _cmd_seq,
-    "decomp": _cmd_decomp,
-    "tree": _cmd_tree,
-    "check": _cmd_check,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
@@ -311,7 +282,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except HofgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -166,21 +166,22 @@ def next_three_odd(n: int) -> int:
     Spacing fact: starting from a three-odd number the next one is 5 or 8
     away, and the first one overall is 7, so the scan below is short.
     """
-    m = n + 1
+    m = max(n + 1, 1)
     while True:
         if m >= _INV_LIMIT:
             raise ValueOverflow("next_three_odd: search left the value range")
-        if m >= 1 and classify(m) is RankClass.THREE_ODD:
+        if classify(m) is RankClass.THREE_ODD:
             return m
         m += 1
 
 
 def relax(d: Decomposition) -> Decomposition:
-    """A relaxed variant of d with the same value, if one exists.
+    """A relaxed (gap=1) form with the same value as d.
 
-    Splits the lowest rank k into (k-2, k-1) while that stays legal.  When
-    the lowest rank is 2 or 3 no split is possible and d itself is returned
-    (restamped gap=1 if it had more than the canonical slack already).
+    Splits the lowest rank k into (k-2, k-1) while that stays legal.  The
+    result is always a new gap=1 form: when the lowest rank is 2 or 3 no
+    split is possible, and it keeps d's ranks but not d's gap, so
+    relax(decompose(2)) != decompose(2).
     """
     ranks = list(d.ranks)
     while ranks and ranks[0] >= 4:

@@ -75,6 +75,7 @@ def test_seq_beyond_table_cap_exits_one(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "eval", "g", "-1")[0] == 2
+    assert invoke(capsys, "eval", "g", "abc")[0] == 2
     assert invoke(capsys, "nonsense")[0] == 2
     assert invoke(capsys, "seq", "g")[0] == 2
     assert invoke(capsys)[0] == 2
@@ -162,6 +163,16 @@ def test_check_unknown_algorithm(capsys):
     assert "astrology" in err
 
 
+@pytest.mark.parametrize("selection", ["", ",", " , "])
+def test_check_empty_algorithm_list(capsys, selection):
+    # a check of nothing is a usage error, not a pass
+    code, out, err = invoke(capsys, "check", "--max", "100",
+                            "--algorithms", selection)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert ",".join(dict.fromkeys(r.key for r in ROUTES)) in err
+
+
 def sabotage(monkeypatch, func, key, values):
     """Make check iterate a registry whose (func, key) route yields values."""
     routes = tuple(replace(r, values=values) if (r.func, r.key) == (func, key)
@@ -217,6 +228,80 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
     assert "SUMMARY: 11/12 suites passed" in out
 
 
+INVARIANTS = (
+    "invariant: largest antecedent",
+    "invariant: g alternative equation",
+    "invariant: gbar alternative equation",
+    "invariant: comparison and three-odd spacing",
+    "invariant: successor rank transitions",
+)
+
+
+TWO, THREE_ODD = hofg.RankClass.TWO, hofg.RankClass.THREE_ODD
+MARKS = {n for n in range(1, 300) if hofg.classify(n) is THREE_ODD}
+
+
+def failing_invariants(out):
+    """Names of the invariant suites that check's output marks FAIL."""
+    verdicts = {line[6:51].rstrip(): line[:4] for line in out.splitlines()
+                if line[6:].startswith("invariant:")}
+    assert sorted(verdicts) == sorted(INVARIANTS)
+    return [name for name in INVARIANTS if verdicts[name] == "FAIL"]
+
+
+def three_odd_at(marks):
+    """classify and gbar_values replacements that agree that exactly marks
+    are three-odd: gbar runs one ahead of g there and nowhere else."""
+    return {"classify": lambda n: THREE_ODD if n in marks else TWO,
+            "gbar_values": lambda top: [v + (n in marks)
+                                        for n, v in enumerate(g_values(top))]}
+
+
+def bump(values, at):
+    """A values function that returns values(top) with entry `at` raised by 1."""
+    return lambda top: [v + (n == at) for n, v in enumerate(values(top))]
+
+
+@pytest.mark.parametrize("swaps, max_n, failing", [
+    # the table laws
+    ({"g_values": bump(g_values, 150)}, "200",
+     ["invariant: largest antecedent", "invariant: g alternative equation",
+      "invariant: comparison and three-odd spacing"]),
+    ({"gbar_values": bump(hofg.gbar_values, 150)}, "200",
+     ["invariant: gbar alternative equation",
+      "invariant: comparison and three-odd spacing"]),
+    # comparison: gbar - g disagrees with classify, a gap is neither 5 nor
+    # 8, the first three-odd number is not 7, there is none from 7 on, or
+    # there is one below 7
+    ({"classify": lambda n: TWO}, "200",
+     ["invariant: comparison and three-odd spacing"]),
+    (three_odd_at(MARKS | {9}), "200",
+     ["invariant: gbar alternative equation",
+      "invariant: comparison and three-odd spacing"]),
+    (three_odd_at(MARKS - {7}), "200",
+     ["invariant: gbar alternative equation",
+      "invariant: comparison and three-odd spacing"]),
+    (three_odd_at(set()), "7",
+     ["invariant: comparison and three-odd spacing"]),
+    (three_odd_at(set()), "6", []),
+    (three_odd_at({3}), "6",
+     ["invariant: gbar alternative equation",
+      "invariant: comparison and three-odd spacing"]),
+    # successor rule: low 2 is followed by an odd rank, low 3 by an even
+    # rank above 2 (neither 3 nor 2), anything higher by 2
+    ({"low": lambda n: 2}, "200", ["invariant: successor rank transitions"]),
+    ({"low": lambda n: 3}, "200", ["invariant: successor rank transitions"]),
+    ({"low": lambda n: 4}, "200", ["invariant: successor rank transitions"]),
+    ({"low": lambda n: 2 + n % 2}, "200", ["invariant: successor rank transitions"]),
+])
+def test_check_reports_failing_invariants(capsys, monkeypatch, swaps, max_n, failing):
+    for name, value in swaps.items():
+        monkeypatch.setattr(cli, name, value)
+    code, out, _ = invoke(capsys, "check", "--max", max_n)
+    assert code == (1 if "FAIL" in out else 0)
+    assert failing_invariants(out) == failing
+
+
 def raises(exc):
     """A route values function that raises exc."""
     def values(top):
@@ -244,6 +329,16 @@ def test_check_parallel_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
     assert "first mismatch at n=1: 0 != 1" in out
+    assert "SUMMARY: 11/12 suites passed" in out
+
+
+@needs_fork
+def test_check_parallel_reports_failing_invariants(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "low", lambda n: 2)
+    code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert code == 1
+    assert failing_invariants(out) == ["invariant: successor rank transitions"]
     assert "SUMMARY: 11/12 suites passed" in out
 
 
@@ -406,10 +501,13 @@ def test_env_cap_on_check(capsys, monkeypatch):
 
 
 def test_env_cap_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("HOFG_MAX_N", "lots")
-    code, _, err = invoke(capsys, "seq", "g", "--to", "5")
-    assert code == 1
-    assert "HOFG_MAX_N" in err
+    for raw, argv in (("lots", ["seq", "g", "--to", "5"]),
+                      ("-1", ["check", "--max", "5"])):
+        monkeypatch.setenv("HOFG_MAX_N", raw)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "HOFG_MAX_N" in err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -181,6 +181,12 @@ def test_antecedents_by_brute_force():
             assert len(antecedents[n]) == expect
 
 
+def test_max_antecedent_domain():
+    assert g_max_antecedent(0) == 0
+    with pytest.raises(DomainError):
+        g_max_antecedent(-1)
+
+
 def test_arity_examples():
     assert g_arity(5) is Arity.UNARY
     assert g_arity(3) is Arity.BINARY

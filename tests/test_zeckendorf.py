@@ -34,6 +34,16 @@ from hofg.errors import DomainError, RankOverflow, ValueOverflow
 from hofg.fibonacci import _INV_LIMIT
 from hofg.zeckendorf import _greedy_ranks
 
+
+def run_python(code):
+    """Run code in a fresh interpreter on the hofg under test; a run that
+    outlives 10 s raises TimeoutExpired, so a hang fails instead of stalling."""
+    src = os.path.dirname(os.path.dirname(hofg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path))
+
+
 TWO = RankClass.TWO
 THREE_ODD = RankClass.THREE_ODD
 THREE_EVEN = RankClass.THREE_EVEN
@@ -189,6 +199,21 @@ def test_next_three_odd_steps_by_five_or_eight():
         m = next_three_odd(n)
         assert m - n in (5, 8)
         n = m
+
+
+def test_next_three_odd_from_far_below_zero():
+    # a scan that climbs one integer at a time from n + 1 would take hours
+    # from -10**18: here that fails after 10 s instead of hanging
+    out = run_python("from hofg import next_three_odd; print(next_three_odd(-10**18))")
+    assert (out.returncode, out.stdout) == (0, "7\n"), out.stderr
+
+
+def test_next_three_odd_past_the_value_range():
+    # F(92) - 1 is itself three-odd, so the first step leaves the range
+    top = fib(91) + fib(90) - 1
+    assert classify(top) is THREE_ODD
+    with pytest.raises(ValueOverflow):
+        next_three_odd(top)
 
 
 def test_successor_rank_law():
@@ -351,11 +376,7 @@ def test_greedy_walk_domain_edges():
 def test_greedy_walk_rejects_negatives_without_looping():
     # a bisect for m < 1 answers rank 1, and peeling F(1) never reaches 0, so
     # a walk without its lower bound hangs: here that fails after 10 s
-    src = os.path.dirname(os.path.dirname(hofg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path))
+    out = run_python("from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1)")
     assert out.returncode == 1
     assert out.stderr.splitlines()[-1].endswith(
         "DomainError: fib_inv: n must be >= 1, got -1"), out.stderr
