@@ -14,7 +14,7 @@ from .errors import (
     RankOverflow,
     ValueOverflow,
 )
-from .fibonacci import RANK_MAX, VALUE_LIMIT, checked_add, fib, fib_inv
+from .fibonacci import RANK_MAX, VALUE_LIMIT, fib, fib_inv
 from .flip_gbar import (
     depth,
     flip,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import DomainError, RankOverflow, ValueOverflow
+from .errors import DomainError, RankOverflow
 
 RANK_MAX = 91
 VALUE_LIMIT = 1 << 63
@@ -51,11 +51,3 @@ def fib_inv(n: int) -> int:
     if n >= _INV_LIMIT:
         raise RankOverflow(f"fib_inv: n = {n} needs a rank beyond {RANK_MAX}")
     return bisect_right(_FIB, n) - 1
-
-
-def checked_add(a: int, b: int) -> int:
-    """Add two in-range values; error instead of leaving the value domain."""
-    s = a + b
-    if s >= VALUE_LIMIT:
-        raise ValueOverflow(f"{a} + {b} leaves the supported range")
-    return s

@@ -16,7 +16,7 @@ that cross-validate each other:
 from __future__ import annotations
 
 from .errors import DomainError
-from .fibonacci import _FIB, checked_add, fib, fib_inv
+from .fibonacci import _FIB, fib, fib_inv
 from .g_func import Arity, MemoTable, g, g_arity
 from .zeckendorf import RankClass, _greedy_ranks, classify
 
@@ -110,7 +110,7 @@ def gbar_rightmost_child(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"gbar_rightmost_child: n must be >= 2, got {n}")
-    return checked_add(n - 1, gbar(n + 1))
+    return n - 1 + gbar(n + 1)
 
 
 def gbar_leftmost_child(n: int) -> int:

@@ -20,7 +20,7 @@ from enum import Enum
 from math import isqrt
 
 from .errors import DomainError
-from .fibonacci import _FIB, checked_add
+from .fibonacci import _FIB
 from .zeckendorf import _greedy_ranks, low
 
 # Domain cap for the closed-form route; the rank routes are bounded by rank
@@ -63,7 +63,9 @@ class MemoTable:
     where d(i) = v[i+1] - v[i] is the step bit.  The gbar delta rule holds
     only from m = 5, hence its longer seed run.  A table holds at most
     TABLE_MAX entries; asking for more raises DomainError before anything
-    is allocated.
+    is allocated.  A fill that runs out of memory drops the table back to
+    its seeds before the MemoryError propagates, so the memory is free
+    for whatever handles it.
     """
 
     def __init__(self, which: str = "g", rule: str = "defining"):
@@ -101,16 +103,30 @@ class MemoTable:
         return self._values[:count]
 
     def _fill(self, n: int) -> None:
+        # prev carries the entry just written and step the last step bit,
+        # so each new entry reads only the far entries its rule needs
         v = self._values
         append = v.append
         c = 1 if self.which == "gbar" else 0
-        if self.rule == "defining":
-            for m in range(len(v), n + 1):
-                append(m + c - v[c + v[m - 1]])
-        else:
-            for m in range(len(v), n + 1):
-                j = v[m - 2 + c]
-                append(v[m - 1] + 1 - (v[m - 1] - v[m - 2]) * (v[j + 1] - v[j]))
+        try:
+            if self.rule == "defining":
+                prev = v[-1]
+                for m in range(len(v) + c, n + 1 + c):  # the formula's m + c
+                    prev = m - v[c + prev]
+                    append(prev)
+            else:
+                prev, step = v[-1], v[-1] - v[-2]
+                for m in range(len(v), n + 1):
+                    j = v[m - 2 + c]
+                    step = 1 - step * (v[j + 1] - v[j])
+                    prev += step
+                    append(prev)
+        except MemoryError:
+            # clear frees the entries without allocating; a slice delete
+            # would need a buffer of its own
+            v.clear()
+            v.extend(_SEEDS[(self.which, self.rule)])
+            raise
 
 
 _G = MemoTable("g")
@@ -163,7 +179,7 @@ def g_max_antecedent(n: int) -> int:
     """Largest m with g(m) = n, namely n + g(n)."""
     if n < 0:
         raise DomainError(f"g_max_antecedent: n must be >= 0, got {n}")
-    return checked_add(n, g(n))
+    return n + g(n)
 
 
 def g_arity(n: int) -> Arity:

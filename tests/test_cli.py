@@ -391,6 +391,42 @@ def test_check_memory_error_exits_one(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# The child answers through run, then asks for half of its address-space
+# limit: that succeeds only if the failed table fill gave its memory back.
+OUT_OF_MEMORY_CHILD = """\
+import resource, sys
+from hofg.cli import run
+code = run(sys.argv[1:])
+bytearray(resource.getrlimit(resource.RLIMIT_AS)[0] // 2)
+sys.exit(code)
+"""
+OUT_OF_MEMORY_LIMIT = 200 * 2**20  # bytes; a 3*10^7-entry table needs ~1.2 GB
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="address-space limits are enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bfile", "{bfile}", "--func", "g"],
+    ["check", "--max", "30000000", "--algorithms", "delta"],
+], ids=["verify", "check"])
+def test_out_of_memory_exits_one_with_one_line(tmp_path, argv):
+    import resource
+
+    def limit_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (OUT_OF_MEMORY_LIMIT,) * 2)
+
+    bfile = tmp_path / "top.b"
+    bfile.write_text("30000000 0\n")  # the first index alone sets the table size
+    src = os.path.dirname(os.path.dirname(hofg.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_CHILD,
+         *(arg.format(bfile=bfile) for arg in argv)],
+        capture_output=True, text=True, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: out of memory\n")
+
+
 def test_every_error_survives_pickling():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, HofgError)]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from hofg import RANK_MAX, VALUE_LIMIT, checked_add, fib, fib_inv
-from hofg.errors import DomainError, RankOverflow, ValueOverflow
+from hofg import RANK_MAX, VALUE_LIMIT, fib, fib_inv
+from hofg.errors import DomainError, RankOverflow
 
 
 def test_known_values():
@@ -67,10 +67,3 @@ def test_fib_inv_domain():
     assert fib_inv(top - 1) == RANK_MAX
     with pytest.raises(RankOverflow):
         fib_inv(top)
-
-
-def test_checked_add():
-    assert checked_add(3, 8) == 11
-    assert checked_add(VALUE_LIMIT - 1, 0) == VALUE_LIMIT - 1
-    with pytest.raises(ValueOverflow):
-        checked_add(VALUE_LIMIT - 1, 1)

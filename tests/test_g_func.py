@@ -1,6 +1,7 @@
 """The staircase function: four routes, its equation laws, the memo table."""
 
 import gc
+import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -231,6 +232,46 @@ def test_dropped_memo_table_is_freed_without_the_cycle_collector(which, rule):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("which, rule", list(_SEEDS))
+def test_fill_resumes_from_the_tail_of_the_table(which, rule):
+    # each fill re-reads its carried state from the last entries written
+    expected = MemoTable(which, rule).prefix(10**5)
+    seeds = len(_SEEDS[(which, rule)])
+    t = MemoTable(which, rule)
+    rng = random.Random(f"{which}-{rule}")
+    sizes = [seeds - 1, seeds, seeds + 1]
+    while sizes[-1] < 10**5:
+        step = rng.choice((1, 2, 3, rng.randint(4, 3000)))
+        sizes.append(min(10**5, sizes[-1] + step))
+    for size in sizes:
+        assert t.prefix(size) == expected[:size]
+
+
+class _ListOutOfMemoryAt(list):
+    """A table store whose append raises MemoryError at a given length."""
+
+    def __init__(self, values, stop):
+        super().__init__(values)
+        self.stop = stop
+
+    def append(self, value):
+        if len(self) == self.stop:
+            raise MemoryError
+        super().append(value)
+
+
+@pytest.mark.parametrize("which, rule", list(_SEEDS))
+def test_fill_out_of_memory_drops_the_table_to_its_seeds(which, rule):
+    t = MemoTable(which, rule)
+    t.ensure(200)
+    t._values = _ListOutOfMemoryAt(t._values, 5000)
+    with pytest.raises(MemoryError):
+        t.ensure(10_000)
+    assert list(t._values) == list(_SEEDS[(which, rule)])
+    t._values.stop = None
+    assert t.prefix(10_000) == MemoTable(which, rule).prefix(10_000)
 
 
 def test_table_size_cap():
