@@ -28,6 +28,7 @@ from .zeckendorf import RankClass, classify, decompose, fib_sum_text, low, norma
 _CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
+_SEQ_CHUNK = 1 << 16  # seq writes this many lines at a time, not one joined string
 
 _EVAL = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
          "depth": depth, "low": low}
@@ -124,9 +125,10 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     table, delta = _SEQ[args.func]
     values = table(end + 1 + delta)
     line = _SEQ_FORMATS[args.format]
-    sys.stdout.write("\n".join(
-        line(n, values[n + 1] - values[n] if delta else values[n])
-        for n in range(args.start, end + 1)) + "\n")
+    for lo in range(args.start, end + 1, _SEQ_CHUNK):
+        sys.stdout.write("\n".join(
+            line(n, values[n + 1] - values[n] if delta else values[n])
+            for n in range(lo, min(lo + _SEQ_CHUNK, end + 1))) + "\n")
     return 0
 
 

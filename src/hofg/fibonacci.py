@@ -8,7 +8,7 @@ table are reported as errors, never approximated.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 
 from .errors import DomainError, RankOverflow
 
@@ -28,6 +28,11 @@ _FIB: tuple[int, ...] = _build_table()
 # Largest value with an in-table rank.  Values from here up to 2**63 would
 # need rank 92, which the fixed table deliberately does not carry.
 _INV_LIMIT = _FIB[RANK_MAX] + _FIB[RANK_MAX - 1]
+
+# _TOP_RANK[b] is the largest rank k with F(k) < 2**b.  F(k+2) >= 2*F(k), so at
+# most two Fibonacci numbers share a bit length: for m >= 1 the largest k with
+# F(k) <= m is at most two ranks below _TOP_RANK[m.bit_length()].
+_TOP_RANK: tuple[int, ...] = tuple(bisect_left(_FIB, 1 << b) - 1 for b in range(64))
 
 
 def fib(k: int) -> int:
@@ -50,4 +55,7 @@ def fib_inv(n: int) -> int:
         raise DomainError(f"fib_inv: n must be >= 1, got {n}")
     if n >= _INV_LIMIT:
         raise RankOverflow(f"fib_inv: n = {n} needs a rank beyond {RANK_MAX}")
-    return bisect_right(_FIB, n) - 1
+    k = _TOP_RANK[n.bit_length()]
+    while _FIB[k] > n:
+        k -= 1
+    return k

@@ -15,12 +15,11 @@ canonical form ambiguous.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, RankOverflow, ValueOverflow
-from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, VALUE_LIMIT, fib, fib_inv
+from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT, fib, fib_inv
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,19 @@ def _greedy_ranks(n: int) -> list[int]:
 
     Every rank route (decompose, low, classify, g_via_decomposition,
     gbar_via_complement) reads this list; none walks the ranks itself.
-    After F(k) the remainder is below F(k-1), so the next bisect stops at k-2.
+    Each term is fib_inv's lookup, inlined because a call per term costs
+    more than the lookup: the top rank for the remainder's bit length,
+    stepped down at most twice.
     """
     if not 0 <= n < _INV_LIMIT:
         fib_inv(n)  # raises fib_inv's DomainError or RankOverflow
     ranks: list[int] = []
-    m, k = n, RANK_MAX + 2
-    while m:
-        k = bisect_right(_FIB, m, 2, k - 1) - 1
+    while n:
+        k = _TOP_RANK[n.bit_length()]
+        while _FIB[k] > n:
+            k -= 1
         ranks.append(k)
-        m -= _FIB[k]
+        n -= _FIB[k]
     ranks.reverse()
     return ranks
 

@@ -22,7 +22,7 @@ import pytest
 
 import hofg
 import hofg.cli as cli
-from hofg import MemoTable, errors, g_values, parse_bfile
+from hofg import MemoTable, errors, g_values, gbar_values, parse_bfile
 from hofg.cli import run
 from hofg.errors import DomainError, HofgError
 from hofg.portfolio import ROUTES
@@ -105,6 +105,20 @@ def test_seq_bfile_reparses(capsys):
     rs = parse_bfile(out)
     assert [r.value for r in rs] == g_values(81)
     assert [r.index for r in rs] == list(range(81))
+
+
+def test_seq_crosses_a_write_chunk(capsys):
+    # seq writes _SEQ_CHUNK lines at a time; this range spans two chunks
+    start, end = 3, 3 + cli._SEQ_CHUNK
+    g, gbar = g_values(end + 1), gbar_values(end + 2)
+    for argv, want in (
+            (["g"], [f"{g[n]}" for n in range(start, end + 1)]),
+            (["gbar", "--format", "csv"], [f"{n},{gbar[n]}" for n in range(start, end + 1)]),
+            (["delta-gbar", "--format", "bfile"],
+             [f"{n} {gbar[n + 1] - gbar[n]}" for n in range(start, end + 1)])):
+        code, out, err = invoke(capsys, "seq", *argv, "--from", str(start), "--to", str(end))
+        assert (code, err) == (0, "")
+        assert out == "\n".join(want) + "\n", argv
 
 
 def test_seq_empty_range(capsys):

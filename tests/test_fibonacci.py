@@ -4,6 +4,7 @@ import pytest
 
 from hofg import RANK_MAX, VALUE_LIMIT, fib, fib_inv
 from hofg.errors import DomainError, RankOverflow
+from hofg.fibonacci import _INV_LIMIT
 
 
 def test_known_values():
@@ -56,6 +57,12 @@ def test_fib_inv_on_table_entries():
     assert fib_inv(fib(1)) == 2
     for k in range(2, RANK_MAX + 1):
         assert fib_inv(fib(k)) == k
+    # fib_inv starts from the top rank of n's bit length and steps down, so
+    # pin both sides of every table entry and of every power of two
+    edges = {fib(k) + d for k in range(RANK_MAX + 1) for d in (-1, 1)}
+    edges |= {(1 << b) + d for b in range(64) for d in (-1, 0)}
+    for n in sorted(e for e in edges if 1 <= e < _INV_LIMIT):
+        assert fib_inv(n) == max(k for k in range(RANK_MAX + 1) if fib(k) <= n), n
 
 
 def test_fib_inv_domain():

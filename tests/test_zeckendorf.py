@@ -359,8 +359,8 @@ def test_rank_routes_at_random_points_across_the_domain():
 
 
 def test_greedy_walk_matches_a_full_table_walk():
-    # the walk bisects only below its last rank; the oracle bisects the whole
-    # table for every term, so agreement on each n pins that no rank is lost
+    # the walk looks each term up by its bit length; the oracle bisects the
+    # whole table for every term, so agreement on each n pins that no rank is lost
     for n in range(300_001):
         assert _greedy_ranks(n) == _ranks_oracle(n), n
 
@@ -368,14 +368,21 @@ def test_greedy_walk_matches_a_full_table_walk():
 def test_greedy_walk_domain_edges():
     assert _INV_LIMIT == _INV_EDGE
     assert _greedy_ranks(_INV_LIMIT - 1) == _ranks_oracle(_INV_LIMIT - 1)
+    # each term starts from the top rank of the remainder's bit length: pin
+    # both sides of every Fibonacci number and of every power of two
+    edges = {_F[k] + d for k in range(93) for d in (-1, 1)}
+    edges |= {(1 << b) + d for b in range(64) for d in (-1, 0)}
+    for n in sorted(e for e in edges if 0 <= e < _INV_LIMIT):
+        assert _greedy_ranks(n) == _ranks_oracle(n), n
     for n in (_INV_LIMIT, 2**63 - 1):
         with pytest.raises(RankOverflow):
             _greedy_ranks(n)
 
 
 def test_greedy_walk_rejects_negatives_without_looping():
-    # a bisect for m < 1 answers rank 1, and peeling F(1) never reaches 0, so
-    # a walk without its lower bound hangs: here that fails after 10 s
+    # a negative remainder stops the step-down at rank 0, and peeling F(0) = 0
+    # never reaches 0, so a walk without its entry guard hangs: here that
+    # fails after 10 s
     out = run_python("from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1)")
     assert out.returncode == 1
     assert out.stderr.splitlines()[-1].endswith(
