@@ -27,7 +27,7 @@ from .zeckendorf import _greedy_ranks, low
 # 91 (decompositions), the dense tables by TABLE_MAX.
 PHI_DOMAIN = 1 << 31
 
-# Most entries a MemoTable holds (about 4 GB at ~40 bytes per entry).
+# Most entries a MemoTable holds (about 2.8 GB at ~28 bytes per entry).
 TABLE_MAX = 10**8
 
 _SEEDS = {
@@ -61,7 +61,10 @@ class MemoTable:
         delta:     v[m-1] + 1 - d(m-2) * d(j),  j = v[m-2+c]
 
     where d(i) = v[i+1] - v[i] is the step bit.  The gbar delta rule holds
-    only from m = 5, hence its longer seed run.  A table holds at most
+    only from m = 5, hence its longer seed run.  A fill carries the last
+    entries it wrote from step to step, and an entry equal to the one
+    before it is stored as that same int object, so each distinct value
+    (about 0.618 of the entries) has one object.  A table holds at most
     TABLE_MAX entries; asking for more raises DomainError before anything
     is allocated.  A fill that runs out of memory drops the table back to
     its seeds before the MemoryError propagates, so the memory is free
@@ -103,8 +106,8 @@ class MemoTable:
         return self._values[:count]
 
     def _fill(self, n: int) -> None:
-        # prev carries the entry just written and step the last step bit,
-        # so each new entry reads only the far entries its rule needs
+        # each loop carries the last entries written, and an entry equal to
+        # its left neighbour is appended as that same int object
         v = self._values
         append = v.append
         c = 1 if self.which == "gbar" else 0
@@ -112,15 +115,20 @@ class MemoTable:
             if self.rule == "defining":
                 prev = v[-1]
                 for m in range(len(v) + c, n + 1 + c):  # the formula's m + c
-                    prev = m - v[c + prev]
+                    x = m - v[c + prev]
+                    if x != prev:
+                        prev = x
                     append(prev)
             else:
-                prev, step = v[-1], v[-1] - v[-2]
-                for m in range(len(v), n + 1):
-                    j = v[m - 2 + c]
-                    step = 1 - step * (v[j + 1] - v[j])
-                    prev += step
-                    append(prev)
+                # a, b = v[m-2], v[m-1]; the step is 1 unless d(m-2) = d(j) = 1
+                a, b = v[-2], v[-1]
+                for _ in range(len(v), n + 1):
+                    # the or tests d(j) only when d(m-2) = 1, where j = a + c
+                    if a == b or v[a + c] == v[a + c + 1]:
+                        a, b = b, b + 1
+                    else:
+                        a = b
+                    append(b)
         except MemoryError:
             # clear frees the entries without allocating; a slice delete
             # would need a buffer of its own

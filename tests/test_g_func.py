@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -247,6 +248,31 @@ def test_fill_resumes_from_the_tail_of_the_table(which, rule):
         sizes.append(min(10**5, sizes[-1] + step))
     for size in sizes:
         assert t.prefix(size) == expected[:size]
+    assert len({id(x) for x in t._values}) == len(set(t._values))
+
+
+@pytest.mark.parametrize("which, rule", list(_SEEDS))
+def test_equal_entries_share_one_int_object(which, rule):
+    t = MemoTable(which, rule)
+    t.ensure(10**5)
+    assert len({id(x) for x in t._values}) == len(set(t._values))
+
+
+@pytest.mark.parametrize("which, rule", list(_SEEDS))
+def test_filled_table_costs_at_most_30_bytes_per_entry(which, rule):
+    # an 8 B list slot per entry plus one int object (32 B as allocated)
+    # per distinct value, and about 0.618 of the entries are distinct
+    count = 2 * 10**5
+    t = MemoTable(which, rule)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t.ensure(count - 1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t) == count
+    assert grown / count <= 30
 
 
 class _ListOutOfMemoryAt(list):
