@@ -6,7 +6,7 @@ portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
 computation or conformance failure, 2 usage.  The environment variable
 HOFG_MAX_N, when set, caps the ranges touched by seq and check.  check
 --max 100000 and above runs its suites in one forked process per available
-CPU.
+CPU.  Each check line gives the seconds its suite took where it ran.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
 
 from .errors import HofgError
 from .flip_gbar import depth, flip, gbar, gbar_values, gbar_via_complement
@@ -156,29 +155,33 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str]]:
-    """(name, ok, detail) of ROUTES[task], or of the invariant suites when
-    task is len(ROUTES).  A task reads the shared g and gbar tables and
-    nothing another task computed."""
+def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str, float]]:
+    """(name, ok, detail, seconds) of ROUTES[task], or of each invariant suite
+    when task is len(ROUTES), timed where it runs.  A task reads the shared
+    g and gbar tables and nothing another task computed."""
+    started = time.perf_counter()
     if task < len(ROUTES):
         route = ROUTES[task]
         expect = (g_values if route.func == "g" else gbar_values)(max_n + 1)
-        return [(route.name, *compare(route, expect, max_n))]
-    return list(_invariant_suites(max_n))
+        suites = [(route.name, *compare(route, expect, max_n))]
+    else:
+        suites = _invariant_suites(max_n)  # a generator: each suite runs on next()
+    timed = []
+    for suite in suites:
+        timed.append((*suite, time.perf_counter() - started))
+        started = time.perf_counter()
+    return timed
 
 
-def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str]]:
-    """(name, ok, detail) of every selected suite, in registry order.
+def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str, float]]:
+    """(name, ok, detail, seconds) of every selected suite, in registry order.
 
     From _PARALLEL_MIN up, forked workers run the suites, one task each,
-    and inherit the filled tables and ROUTES; below it, or with one CPU or
-    no fork, the same tasks run here in turn.
+    and inherit ROUTES and the tables the caller filled; below it, or with
+    one CPU or no fork, the same tasks run here in turn.
     """
-    g(max_n)  # fill the shared tables once, before any fork
-    gbar(max_n)
     tasks = [i for i, route in enumerate(ROUTES) if route.key in algos]
     tasks.append(len(ROUTES))
-    run_task = partial(_check_task, max_n=max_n)
     workers = min(len(tasks), _cpus())
     if max_n >= _PARALLEL_MIN and workers > 1:
         import multiprocessing
@@ -189,7 +192,7 @@ def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str]]:
             others = set(multiprocessing.active_children())
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))
-            futures = [pool.submit(run_task, task) for task in tasks]
+            futures = [pool.submit(_check_task, task, max_n) for task in tasks]
             try:
                 for future in as_completed(futures):
                     future.result()  # the first error raises here
@@ -204,7 +207,11 @@ def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str]]:
                 raise
             pool.shutdown()
             return [suite for future in futures for suite in future.result()]
-    return [suite for chunk in map(run_task, tasks) for suite in chunk]
+    return [suite for task in tasks for suite in _check_task(task, max_n)]
+
+
+def _span(lo: int, hi: int) -> str:
+    return f"n={lo}..{hi}" if lo <= hi else f"no n in {lo}..{hi}"
 
 
 def _invariant_suites(max_n: int):
@@ -213,14 +220,14 @@ def _invariant_suites(max_n: int):
     gg = g_values(cap + g(cap) + 2)
     ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
              for n in range(cap + 1))
-    yield ("invariant: largest antecedent", ok, f"n=0..{cap}")
+    yield ("invariant: largest antecedent", ok, _span(0, cap))
 
     ok = all(gg[n] + gg[gg[n + 1] - 1] == n for n in range(cap + 1))
-    yield ("invariant: g alternative equation", ok, f"n=0..{cap}")
+    yield ("invariant: g alternative equation", ok, _span(0, cap))
 
     bb = gbar_values(cap + 2)
     ok = all(bb[bb[n]] + bb[n - 1] == n for n in range(4, cap + 1))
-    yield ("invariant: gbar alternative equation", ok, f"n=4..{cap}")
+    yield ("invariant: gbar alternative equation", ok, _span(4, cap))
 
     # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
     odd3 = [classify(n) is RankClass.THREE_ODD for n in range(1, cap + 1)]
@@ -228,14 +235,14 @@ def _invariant_suites(max_n: int):
     ok = (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
           and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))
           and marks[:1] == ([7] if cap >= 7 else []))
-    yield ("invariant: comparison and three-odd spacing", ok, f"n=1..{cap}")
+    yield ("invariant: comparison and three-odd spacing", ok, _span(1, cap))
 
     # low(n) = 2 makes low(n+1) odd, 3 makes it even and above 2, and
     # anything higher makes it 2
     lows = [low(n) for n in range(1, cap + 2)]
     ok = all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
              else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
-    yield ("invariant: successor rank transitions", ok, f"n=1..{cap}")
+    yield ("invariant: successor rank transitions", ok, _span(1, cap))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -254,12 +261,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   + ",".join(_CHECK_ALGOS), file=sys.stderr)
             return 2
     started = time.perf_counter()
+    g(max_n)  # fill the shared tables once, before any worker forks
+    gbar(max_n)
+    filled = time.perf_counter() - started
     results = _check_suites(max_n, algos)
     elapsed = time.perf_counter() - started
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<45} {detail}")
-    passed = sum(1 for _, ok, _ in results if ok)
-    print(f"SUMMARY: {passed}/{len(results)} suites passed in {elapsed:.1f} s")
+    for name, ok, detail, seconds in results:
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<45} {seconds:6.2f} s  {detail}")
+    passed = sum(1 for _, ok, _, _ in results if ok)
+    print(f"SUMMARY: {passed}/{len(results)} suites passed in {elapsed:.1f} s"
+          f" (g and gbar tables filled in {filled:.2f} s)")
     return 0 if passed == len(results) else 1
 
 

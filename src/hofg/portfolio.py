@@ -1,8 +1,7 @@
 """The route registry: every independent route to g and gbar, listed once.
 
-`hofg check` and demos/cross_validation.py both iterate ROUTES and compare
-each route against the defining-equation table of its function.  A route
-added here is checked everywhere; a route dropped here is checked nowhere.
+`hofg check` compares each route in ROUTES with the defining-equation table
+of its function: a route added here is checked, a route dropped is not.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SECONDS = r" *\d+\.\d\d s  "  # the seconds field of a check line
+
+
+def suite_line(word, name, detail):
+    """A pattern for check's line for one suite, with any seconds."""
+    return re.escape(f"{word}  {name:<45} ") + SECONDS + re.escape(detail)
 
 
 def test_eval(capsys):
@@ -158,7 +167,9 @@ def test_tree_dot(capsys):
 def test_check_small(capsys):
     code, out, _ = invoke(capsys, "check", "--max", "2000")
     assert code == 0
-    assert "SUMMARY: 12/12 suites passed" in out
+    assert re.fullmatch(r"SUMMARY: 12/12 suites passed in \d+\.\d s "
+                        r"\(g and gbar tables filled in \d+\.\d\d s\)",
+                        out.splitlines()[-1])
     assert "FAIL" not in out
 
 
@@ -229,16 +240,18 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
         sabotage(monkeypatch, "g", "phi", short)
         code, out, _ = invoke(capsys, "check", "--max", max_n)
         assert code == 1
-        assert (f"FAIL  {'g: defining = phi floor':<45} "
-                f"route yielded {got} values, expected {top + 1}\n") in out
+        assert re.search(suite_line("FAIL", "g: defining = phi floor",
+                                    f"route yielded {got} values, expected {top + 1}") + "$",
+                         out, re.M)
         assert "SUMMARY: 11/12 suites passed" in out
     # too many: a correct sweep with one value past max_n
     sabotage(monkeypatch, "gbar", "delta",
              lambda top: MemoTable("gbar", rule="delta").prefix(top + 2))
     code, out, _ = invoke(capsys, "check", "--max", max_n)
     assert code == 1
-    assert (f"FAIL  {'gbar: defining = delta':<45} "
-            f"route yielded more than {top + 1} values\n") in out
+    assert re.search(suite_line("FAIL", "gbar: defining = delta",
+                                f"route yielded more than {top + 1} values") + "$",
+                     out, re.M)
     assert "SUMMARY: 11/12 suites passed" in out
 
 
@@ -316,6 +329,35 @@ def test_check_reports_failing_invariants(capsys, monkeypatch, swaps, max_n, fai
     assert failing_invariants(out) == failing
 
 
+@pytest.mark.parametrize("max_n, details", [
+    ("0", ["n=0..0", "n=0..0", "no n in 4..0", "no n in 1..0", "no n in 1..0"]),
+    ("3", ["n=0..3", "n=0..3", "no n in 4..3", "n=1..3", "n=1..3"]),
+])
+def test_check_says_when_a_range_holds_no_n(capsys, max_n, details):
+    code, out, _ = invoke(capsys, "check", "--max", max_n)
+    assert code == 0
+    lines = out.splitlines()
+    for line, route in zip(lines, ROUTES):
+        assert re.fullmatch(suite_line("PASS", route.name, f"n=0..{max_n}"), line)
+    for line, name, detail in zip(lines[len(ROUTES):-1], INVARIANTS, details, strict=True):
+        assert re.fullmatch(suite_line("PASS", name, detail), line)
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)  # 2: one worker per CPU
+    monkeypatch.setattr(cli, "_PARALLEL_MIN", 0)  # workers from any --max
+    sabotage(monkeypatch, "gbar", "flip",
+             lambda top: time.sleep(0.5) or gbar_values(top + 1))
+    code, out, _ = invoke(capsys, "check", "--max", "2000")
+    assert code == 0
+    seconds = {line[6:51].rstrip(): float(line[51:].split()[0])
+               for line in out.splitlines()[:-1]}
+    assert seconds.pop("gbar: defining = flip conjugation") >= 0.5
+    assert len(seconds) == 11
+    assert max(seconds.values()) < 0.5
+
+
 def raises(exc):
     """A route values function that raises exc."""
     def values(top):
@@ -332,7 +374,10 @@ def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
     for code, out, err in (parallel, serial):
         assert (code, err) == (0, "")
         assert out.splitlines()[-1].startswith("SUMMARY: 12/12 suites passed in ")
-    assert parallel[1].splitlines()[:-1] == serial[1].splitlines()[:-1]
+    # the same lines but for the seconds each run measured
+    masked = [[re.sub(SECONDS, " <s>  ", line, count=1) for line in out.splitlines()[:-1]]
+              for _, out, _ in (parallel, serial)]
+    assert masked[0] == masked[1]
 
 
 @needs_fork
@@ -474,7 +519,9 @@ def test_check_routes_come_from_the_registry(capsys):
         assert code == 0
         names = [r.name for r in ROUTES if r.key == key]
         lines = out.splitlines()
-        assert lines[:len(names)] == [f"PASS  {n:<45} n=0..30" for n in names]
+        assert len(lines) > len(names)
+        for line, name in zip(lines, names):
+            assert re.fullmatch(suite_line("PASS", name, "n=0..30"), line)
         total = len(names) + 5  # plus the invariant suites
         assert lines[-1].startswith(f"SUMMARY: {total}/{total} suites passed")
 

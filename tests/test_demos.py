@@ -33,12 +33,6 @@ def test_trees():
     assert "digraph g {" in out
 
 
-def test_cross_validation():
-    out = run_demo("cross_validation.py", "--max", "3000")
-    assert "all four agree: True" in out
-    assert "all five agree: True" in out
-
-
 def test_oeis_conformance():
     out = run_demo("oeis_conformance.py")
     assert out.count("result: PASS") == 2

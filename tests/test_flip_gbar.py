@@ -26,7 +26,7 @@ from hofg import (
     gbar_via_flip,
     gbar_via_g_correction,
 )
-from hofg.errors import DomainError
+from hofg.errors import DomainError, HofgError
 
 N = 20_000
 
@@ -100,6 +100,10 @@ def test_flip_domain():
         flip(-1)
     with pytest.raises(DomainError):
         depth(-1)
+    # the top edge F(90) closes its depth block, which F(89) + 1 opens
+    assert flip(fib(90)) == fib(89) + 1
+    with pytest.raises(HofgError):
+        flip(fib(90) + 1)
 
 
 # --- gbar values and routes ---
