@@ -3,30 +3,26 @@
 Subcommands: eval (one value), seq (a range), decomp (Fibonacci-sum form),
 tree (DOT export), check (cross-validation of the whole algorithm
 portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
-computation or conformance failure, 2 usage.  The environment variable
-HOFG_MAX_N, when set, caps the ranges touched by seq and check.  check
---max 100000 and above runs its suites in one forked process per available
-CPU.  Each check line gives the seconds its suite took where it ran.
+computation or conformance failure, 2 usage.  The check engine lives in
+portfolio.py; check here validates --algorithms and prints one line per
+suite, with the seconds it took where it ran, and a summary.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from .errors import HofgError
-from .flip_gbar import depth, flip, gbar, gbar_values, gbar_via_complement
-from .g_func import g, g_values, g_via_decomposition
+from .flip_gbar import depth, flip, gbar_values, gbar_via_complement
+from .g_func import g_values, g_via_decomposition
 from .oeis import parse_bfile, verify
-from .portfolio import ROUTES, compare
+from .portfolio import ROUTES, check
 from .tree import build_tree, export_dot
-from .zeckendorf import RankClass, classify, decompose, fib_sum_text, low, normalize, relax
+from .zeckendorf import decompose, fib_sum_text, low, normalize, relax
 
 _CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
-_SPOT_CAP = 200_000  # invariant spot checks stay at or below this
-_PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
 _SEQ_CHUNK = 1 << 16  # seq writes this many lines at a time, not one joined string
 
 _EVAL = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
@@ -77,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_tree)
     p.add_argument("func", choices=["g", "gbar"])
     p.add_argument("--depth", type=_nonneg, required=True)
-    p.add_argument("--format", choices=["dot"], default="dot")
 
     p = sub.add_parser("check", help="cross-validate all algorithms")
     p.set_defaults(run=_cmd_check)
@@ -96,35 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _capped(value: int, what: str) -> int:
-    raw = os.environ.get("HOFG_MAX_N")
-    if raw is None:
-        return value
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise HofgError(f"HOFG_MAX_N is not an integer: {raw!r}") from None
-    if cap < 0:
-        raise HofgError(f"HOFG_MAX_N must be >= 0: {cap}")
-    if value > cap:
-        print(f"note: {what} capped at {cap} by HOFG_MAX_N", file=sys.stderr)
-        return cap
-    return value
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     print(_EVAL[args.func](args.n))
     return 0
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    end = _capped(args.end, "--to")
-    if args.start > end:
+    start, end = args.start, args.end
+    if start > end:
         return 0
     table, delta = _SEQ[args.func]
     values = table(end + 1 + delta)
     line = _SEQ_FORMATS[args.format]
-    for lo in range(args.start, end + 1, _SEQ_CHUNK):
+    for lo in range(start, end + 1, _SEQ_CHUNK):
         sys.stdout.write("\n".join(
             line(n, values[n + 1] - values[n] if delta else values[n])
             for n in range(lo, min(lo + _SEQ_CHUNK, end + 1))) + "\n")
@@ -148,105 +127,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str, float]]:
-    """(name, ok, detail, seconds) of ROUTES[task], or of each invariant suite
-    when task is len(ROUTES), timed where it runs.  A task reads the shared
-    g and gbar tables and nothing another task computed."""
-    started = time.perf_counter()
-    if task < len(ROUTES):
-        route = ROUTES[task]
-        expect = (g_values if route.func == "g" else gbar_values)(max_n + 1)
-        suites = [(route.name, *compare(route, expect, max_n))]
-    else:
-        suites = _invariant_suites(max_n)  # a generator: each suite runs on next()
-    timed = []
-    for suite in suites:
-        timed.append((*suite, time.perf_counter() - started))
-        started = time.perf_counter()
-    return timed
-
-
-def _check_suites(max_n: int, algos: set[str]) -> list[tuple[str, bool, str, float]]:
-    """(name, ok, detail, seconds) of every selected suite, in registry order.
-
-    From _PARALLEL_MIN up, forked workers run the suites, one task each,
-    and inherit ROUTES and the tables the caller filled; below it, or with
-    one CPU or no fork, the same tasks run here in turn.
-    """
-    tasks = [i for i, route in enumerate(ROUTES) if route.key in algos]
-    tasks.append(len(ROUTES))
-    workers = min(len(tasks), _cpus())
-    if max_n >= _PARALLEL_MIN and workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-            from concurrent.futures.process import BrokenProcessPool
-            sys.stdout.flush()  # a worker flushes what it inherits on exit
-            others = set(multiprocessing.active_children())
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            futures = [pool.submit(_check_task, task, max_n) for task in tasks]
-            try:
-                for future in as_completed(futures):
-                    future.result()  # the first error raises here
-            except BaseException as exc:
-                # stop the pool's workers: shutdown would wait for the
-                # suites they are still running
-                for child in set(multiprocessing.active_children()) - others:
-                    child.terminate()
-                pool.shutdown(cancel_futures=True)
-                if isinstance(exc, BrokenProcessPool):
-                    raise HofgError(f"a check worker died: {exc}") from None
-                raise
-            pool.shutdown()
-            return [suite for future in futures for suite in future.result()]
-    return [suite for task in tasks for suite in _check_task(task, max_n)]
-
-
-def _span(lo: int, hi: int) -> str:
-    return f"n={lo}..{hi}" if lo <= hi else f"no n in {lo}..{hi}"
-
-
-def _invariant_suites(max_n: int):
-    """Yield (name, ok, detail) for the five invariant spot checks."""
-    cap = min(max_n, _SPOT_CAP)
-    gg = g_values(cap + g(cap) + 2)
-    ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
-             for n in range(cap + 1))
-    yield ("invariant: largest antecedent", ok, _span(0, cap))
-
-    ok = all(gg[n] + gg[gg[n + 1] - 1] == n for n in range(cap + 1))
-    yield ("invariant: g alternative equation", ok, _span(0, cap))
-
-    bb = gbar_values(cap + 2)
-    ok = all(bb[bb[n]] + bb[n - 1] == n for n in range(4, cap + 1))
-    yield ("invariant: gbar alternative equation", ok, _span(4, cap))
-
-    # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
-    odd3 = [classify(n) is RankClass.THREE_ODD for n in range(1, cap + 1)]
-    marks = [n for n, odd in enumerate(odd3, 1) if odd]
-    ok = (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
-          and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))
-          and marks[:1] == ([7] if cap >= 7 else []))
-    yield ("invariant: comparison and three-odd spacing", ok, _span(1, cap))
-
-    # low(n) = 2 makes low(n+1) odd, 3 makes it even and above 2, and
-    # anything higher makes it 2
-    lows = [low(n) for n in range(1, cap + 2)]
-    ok = all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
-             else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
-    yield ("invariant: successor rank transitions", ok, _span(1, cap))
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    max_n = _capped(args.max, "--max")
     if args.algorithms.strip() == "all":
         algos = set(_CHECK_ALGOS)
     else:
@@ -261,10 +142,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   + ",".join(_CHECK_ALGOS), file=sys.stderr)
             return 2
     started = time.perf_counter()
-    g(max_n)  # fill the shared tables once, before any worker forks
-    gbar(max_n)
-    filled = time.perf_counter() - started
-    results = _check_suites(max_n, algos)
+    filled, results = check(args.max, algos)
     elapsed = time.perf_counter() - started
     for name, ok, detail, seconds in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<45} {seconds:6.2f} s  {detail}")

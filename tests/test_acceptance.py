@@ -4,8 +4,9 @@ One test per shipping criterion, in order, each ending with a single
 ACCEPT line (visible under pytest -s).  Timed criteria do their whole
 sweep inside the measured window, using fresh tables where a fill is part
 of the work; untimed criteria share the session-scoped arrays from
-conftest.  Budgets are wall-clock seconds on the machine running the
-suite.
+conftest.  Criteria 2 and 3 sweep every registry route of their function
+through portfolio.compare.  Budgets are wall-clock seconds on the machine
+running the suite.
 """
 
 import random
@@ -23,18 +24,15 @@ from hofg import (
     flip,
     g,
     g_values,
-    g_via_decomposition,
     g_via_phi,
     gbar,
-    gbar_via_complement,
-    gbar_via_flip,
-    gbar_via_g_correction,
     normalize,
     parse_bfile,
     resolve_offset,
     sum_of,
     verify,
 )
+from hofg.portfolio import ROUTES, compare
 from hofg.zeckendorf import Decomposition
 
 LIMIT = 1_000_000
@@ -68,13 +66,19 @@ def test_criterion_1_initial_values():
     report(1, "initial values")
 
 
+def sweep_routes(func, defining, count):
+    """Compare every registry route to func with defining over 0..LIMIT."""
+    routes = [route for route in ROUTES if route.func == func]
+    assert len(routes) == count, [route.name for route in routes]
+    for route in routes:
+        assert compare(route, defining, LIMIT) == (True, f"n=0..{LIMIT}"), route.name
+
+
 def test_criterion_2_four_way_g_equivalence():
     started = time.perf_counter()
     defining = MemoTable("g").prefix(LIMIT + 1)
-    assert MemoTable("g", rule="delta").prefix(LIMIT + 1) == defining
-    assert all(g_via_decomposition(n) == defining[n] for n in range(LIMIT + 1))
+    sweep_routes("g", defining, 3)  # decomposition, delta, phi floor
     assert g_via_phi(1) == defining[1]  # pins the off-by-one in the floor form
-    assert all(g_via_phi(n) == defining[n] for n in range(10_001))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(2, f"four-way g equivalence to {LIMIT}", f" ({elapsed:.1f} s)")
@@ -83,12 +87,7 @@ def test_criterion_2_four_way_g_equivalence():
 def test_criterion_3_five_way_gbar_equivalence():
     started = time.perf_counter()
     defining = MemoTable("gbar").prefix(LIMIT + 1)
-    assert MemoTable("gbar", rule="delta").prefix(LIMIT + 1) == defining
-    assert all(gbar_via_flip(n) == defining[n] for n in range(LIMIT + 1))
-    assert all(gbar_via_g_correction(n) == defining[n]
-               for n in range(LIMIT + 1))
-    assert all(gbar_via_complement(n) == defining[n]
-               for n in range(LIMIT + 1))
+    sweep_routes("gbar", defining, 4)  # flip, delta, correction, complement
     elapsed = time.perf_counter() - started
     assert elapsed < 20.0
     report(3, f"five-way gbar equivalence to {LIMIT}", f" ({elapsed:.1f} s)")

@@ -1,4 +1,4 @@
-"""Command line behavior: output shapes, exit codes, env capping.
+"""Command line behavior: output shapes and exit codes.
 
 Everything funnels through run(argv) in-process; one subprocess test at the
 end confirms the entry points wire up to the same place. It always runs
@@ -23,6 +23,7 @@ import pytest
 
 import hofg
 import hofg.cli as cli
+import hofg.portfolio as portfolio
 from hofg import MemoTable, errors, g_values, gbar_values, parse_bfile
 from hofg.cli import run
 from hofg.errors import DomainError, HofgError
@@ -155,7 +156,7 @@ def test_decomp_relaxed_demo(capsys):
 
 
 def test_tree_dot(capsys):
-    code, out, _ = invoke(capsys, "tree", "g", "--depth", "3", "--format", "dot")
+    code, out, _ = invoke(capsys, "tree", "g", "--depth", "3")
     assert code == 0
     assert out == ("digraph g {\n  1 -> 2;\n  2 -> 3;\n  3 -> 4;\n"
                    "  3 -> 5;\n}\n")
@@ -202,7 +203,7 @@ def sabotage(monkeypatch, func, key, values):
     """Make check iterate a registry whose (func, key) route yields values."""
     routes = tuple(replace(r, values=values) if (r.func, r.key) == (func, key)
                    else r for r in ROUTES)
-    monkeypatch.setattr(cli, "ROUTES", routes)
+    monkeypatch.setattr(portfolio, "ROUTES", routes)
 
 
 def test_check_reports_failures(capsys, monkeypatch):
@@ -225,7 +226,7 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert "SUMMARY: 11/12 suites passed" in out
 
 
-PARALLEL_MAX = str(cli._PARALLEL_MIN)  # the smallest --max run by workers
+PARALLEL_MAX = str(portfolio._PARALLEL_MIN)  # the smallest --max run by workers
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="check runs its workers only where fork exists")
@@ -233,7 +234,7 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.mark.parametrize("max_n", ["200", PARALLEL_MAX])
 def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)  # workers from PARALLEL_MAX
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)  # workers from PARALLEL_MAX
     top = int(max_n)
     # too few: a correct prefix that stops one short, and nothing at all
     for short, got in ((g_values, top), (lambda top: [], 0)):
@@ -323,7 +324,7 @@ def bump(values, at):
 ])
 def test_check_reports_failing_invariants(capsys, monkeypatch, swaps, max_n, failing):
     for name, value in swaps.items():
-        monkeypatch.setattr(cli, name, value)
+        monkeypatch.setattr(portfolio, name, value)
     code, out, _ = invoke(capsys, "check", "--max", max_n)
     assert code == (1 if "FAIL" in out else 0)
     assert failing_invariants(out) == failing
@@ -345,8 +346,8 @@ def test_check_says_when_a_range_holds_no_n(capsys, max_n, details):
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)  # 2: one worker per CPU
-    monkeypatch.setattr(cli, "_PARALLEL_MIN", 0)  # workers from any --max
+    monkeypatch.setattr(portfolio, "_cpus", lambda: cpus)  # 2: one worker per CPU
+    monkeypatch.setattr(portfolio, "_PARALLEL_MIN", 0)  # workers from any --max
     sabotage(monkeypatch, "gbar", "flip",
              lambda top: time.sleep(0.5) or gbar_values(top + 1))
     code, out, _ = invoke(capsys, "check", "--max", "2000")
@@ -367,9 +368,9 @@ def raises(exc):
 
 @needs_fork
 def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     parallel = invoke(capsys, "check", "--max", PARALLEL_MAX)
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 1)
     serial = invoke(capsys, "check", "--max", PARALLEL_MAX)
     for code, out, err in (parallel, serial):
         assert (code, err) == (0, "")
@@ -382,7 +383,7 @@ def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
 
 @needs_fork
 def test_check_parallel_reports_failures(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     sabotage(monkeypatch, "g", "phi", lambda top: [0] * (top + 1))
     code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert code == 1
@@ -393,8 +394,8 @@ def test_check_parallel_reports_failures(capsys, monkeypatch):
 
 @needs_fork
 def test_check_parallel_reports_failing_invariants(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "low", lambda n: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "low", lambda n: 2)
     code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert code == 1
     assert failing_invariants(out) == ["invariant: successor rank transitions"]
@@ -403,7 +404,7 @@ def test_check_parallel_reports_failing_invariants(capsys, monkeypatch):
 
 @needs_fork
 def test_check_worker_domain_error_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     sabotage(monkeypatch, "gbar", "flip", raises(DomainError("sabotaged route")))
     code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert (code, out, err) == (1, "", "error: sabotaged route\n")
@@ -411,11 +412,11 @@ def test_check_worker_domain_error_exits_one(capsys, monkeypatch):
 
 @needs_fork
 def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     # the error must not wait for a suite that another worker is running
     swaps = {"decomposition": lambda top: time.sleep(60) or [],
              "flip": raises(DomainError("sabotaged route"))}
-    monkeypatch.setattr(cli, "ROUTES", tuple(
+    monkeypatch.setattr(portfolio, "ROUTES", tuple(
         replace(r, values=swaps[r.key]) if r.key in swaps else r for r in ROUTES))
     # ... and must stop only the pool's workers, not the caller's children
     bystander = multiprocessing.get_context("fork").Process(
@@ -434,7 +435,7 @@ def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch
 
 @needs_fork
 def test_check_worker_death_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     sabotage(monkeypatch, "g", "phi", lambda top: os._exit(3))
     code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert (code, out) == (1, "")
@@ -579,32 +580,6 @@ def test_verify_missing_file(capsys, tmp_path):
                           str(tmp_path / "nope.txt"), "--func", "g")
     assert code == 1
     assert "cannot read" in err
-
-
-def test_env_cap_on_seq(capsys, monkeypatch):
-    monkeypatch.setenv("HOFG_MAX_N", "10")
-    code, out, err = invoke(capsys, "seq", "g", "--to", "100")
-    assert code == 0
-    assert len(out.splitlines()) == 11
-    assert "capped at 10" in err
-
-
-def test_env_cap_on_check(capsys, monkeypatch):
-    monkeypatch.setenv("HOFG_MAX_N", "500")
-    code, out, err = invoke(capsys, "check", "--max", "100000")
-    assert code == 0
-    assert "n=0..500" in out
-    assert "capped at 500" in err
-
-
-def test_env_cap_garbage(capsys, monkeypatch):
-    for raw, argv in (("lots", ["seq", "g", "--to", "5"]),
-                      ("-1", ["check", "--max", "5"])):
-        monkeypatch.setenv("HOFG_MAX_N", raw)
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:")
-        assert "HOFG_MAX_N" in err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

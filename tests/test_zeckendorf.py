@@ -20,9 +20,12 @@ from hofg import (
     RankClass,
     classify,
     decompose,
+    depth,
     fib,
     fib_sum_text,
+    flip,
     g_via_decomposition,
+    g_via_phi,
     gbar_via_complement,
     low,
     next_three_odd,
@@ -356,6 +359,13 @@ def test_rank_routes_at_random_points_across_the_domain():
         assert g_via_decomposition(n) == _g_oracle(n), n
     for n in _log_uniform_points(rng, _COMPLEMENT_EDGE, 2000):
         assert gbar_via_complement(n) == _flip_oracle(_g_oracle(_flip_oracle(n))), n
+    for n in _log_uniform_points(rng, _F[90] + 1, 2000):
+        assert flip(n) == _flip_oracle(n), n
+    for n in _log_uniform_points(rng, _F[92] + 1, 2000):
+        assert depth(n) == (bisect_left(_F, n) - 2 if n > 1 else 0), n
+    # the phi floor against the rank sum, not against the floor it computes
+    for n in _log_uniform_points(rng, 2**31, 2000):
+        assert g_via_phi(n) == sum(_F[k - 1] for k in _ranks_oracle(n)), n
 
 
 def test_greedy_walk_matches_a_full_table_walk():
