@@ -14,7 +14,8 @@ import argparse
 import sys
 import time
 
-from .errors import HofgError
+from .errors import HofgError, RankOverflow
+from .fibonacci import RANK_MAX
 from .flip_gbar import depth, flip, gbar_values, gbar_via_complement
 from .g_func import g_values, g_via_decomposition
 from .oeis import parse_bfile, verify
@@ -91,8 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at(name: str, fn, n: int):
+    """fn(n), with a rank overflow inside fn reported as name's, at the n typed."""
+    try:
+        return fn(n)
+    except RankOverflow:
+        raise RankOverflow(
+            f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}") from None
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    print(_EVAL[args.func](args.n))
+    print(_at(args.func, _EVAL[args.func], args.n))
     return 0
 
 
@@ -111,7 +121,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
-    d = decompose(args.n)
+    d = _at("decomp", decompose, args.n)
     print(fib_sum_text(d))
     print("[" + ",".join(map(str, d.ranks)) + "]")
     if args.relaxed_demo:

@@ -8,8 +8,6 @@ not as exceptions; only malformed input raises.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, GapError, ParseError
@@ -74,8 +72,7 @@ def render_bfile(records: Iterable[BFileRecord]) -> str:
     return "".join(f"{r.index} {r.value}\n" for r in records)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     func: str
     offset: int
     compared: int
@@ -87,7 +84,7 @@ class VerifyReport:
         return self.mismatches == 0
 
     def to_text(self) -> str:
-        fields = asdict(self)
+        fields = self._asdict()
         m = fields.pop("first_mismatch")
         lines = [f"{key}: {value}" for key, value in fields.items()]
         if m is not None:
@@ -98,7 +95,9 @@ class VerifyReport:
 
     def summary_json(self) -> str:
         """One-line machine-readable summary (schema in the README)."""
-        fields = asdict(self)
+        import json  # only this method needs it: keeps it off `import hofg`
+
+        fields = self._asdict()
         m = fields["first_mismatch"]
         fields["first_mismatch"] = None if m is None else m._asdict()
         return json.dumps({**fields, "ok": self.ok})

@@ -10,8 +10,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import HofgError
 from .flip_gbar import (gbar, gbar_values, gbar_via_complement, gbar_via_flip,
@@ -23,8 +22,7 @@ _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One route: func is "g" or "gbar", key its `--algorithms` name, name
     the suite name `check` prints; values(top) yields the route's values at
     0..top."""

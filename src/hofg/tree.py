@@ -8,7 +8,7 @@ contains labels 1 .. F(max_depth + 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DepthLimit, DomainError
 from .fibonacci import fib
@@ -20,8 +20,7 @@ DEPTH_MAX = 25
 _FUNCS = ("g", "gbar")
 
 
-@dataclass
-class TreeSlice:
+class TreeSlice(NamedTuple):
     """All nodes of one tree down to max_depth.
 
     parent maps every non-root label to its parent; child_lists maps each
@@ -33,9 +32,12 @@ class TreeSlice:
 
     func: str
     max_depth: int
-    parent: dict[int, int] = field(repr=False)
-    child_lists: dict[int, list[int]] = field(repr=False)
-    arity: dict[int, Arity] = field(repr=False)
+    parent: dict[int, int]
+    child_lists: dict[int, list[int]]
+    arity: dict[int, Arity]
+
+    def __repr__(self) -> str:  # the label maps run to F(27) entries
+        return f"TreeSlice(func={self.func!r}, max_depth={self.max_depth})"
 
     def label_count(self) -> int:
         return fib(self.max_depth + 2)

@@ -15,35 +15,41 @@ canonical form ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, RankOverflow, ValueOverflow
 from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT, fib, fib_inv
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _Form(NamedTuple):
+    ranks: tuple[int, ...]
+    gap: int = 2
+
+
+class Decomposition(_Form):
     """Ranks of a Fibonacci-sum form, lowest first.
 
     gap = 2 marks a canonical form, gap = 1 a relaxed one.  Every canonical
     form is also a valid relaxed form, but not the other way around.
     """
 
-    ranks: tuple[int, ...]
-    gap: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.gap not in (1, 2):
-            raise DomainError(f"gap must be 1 or 2, got {self.gap}")
+    def __new__(cls, ranks: tuple[int, ...], gap: int = 2) -> Decomposition:
+        if gap not in (1, 2):
+            raise DomainError(f"gap must be 1 or 2, got {gap}")
         prev = None
-        for k in self.ranks:
+        for k in ranks:
             if k < 2 or k > RANK_MAX:
                 raise DomainError(f"rank {k} outside [2, {RANK_MAX}]")
-            if prev is not None and k - prev < self.gap:
+            if prev is not None and k - prev < gap:
                 raise DomainError(
-                    f"ranks {prev},{k} violate the minimum gap {self.gap}")
+                    f"ranks {prev},{k} violate the minimum gap {gap}")
             prev = k
+        return tuple.__new__(cls, (ranks, gap))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __len__(self) -> int:
         return len(self.ranks)

@@ -16,7 +16,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -72,6 +71,20 @@ def test_eval_answers_up_to_the_rank_edges(capsys):
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("eval", "flip", "2880067194370816121"), "flip"),  # F(90) + 1
+    (("eval", "g", "7540113804746346429"), "g"),  # F(92)
+    (("eval", "gbar", "9223372036854775807"), "gbar"),
+    (("eval", "depth", "9223372036854775807"), "depth"),
+    (("eval", "low", "9223372036854775807"), "low"),
+    (("decomp", "9223372036854775807"), "decomp"),
+])
+def test_rank_overflow_names_the_command_and_the_typed_n(capsys, argv, name):
+    # not the helper that overflowed (fib, fib_inv), nor the n it was given
+    assert invoke(capsys, *argv) == (
+        1, "", f"error: {name}: n = {argv[-1]} needs a Fibonacci rank beyond 91\n")
 
 
 def test_seq_beyond_table_cap_exits_one(capsys):
@@ -201,7 +214,7 @@ def test_check_empty_algorithm_list(capsys, selection):
 
 def sabotage(monkeypatch, func, key, values):
     """Make check iterate a registry whose (func, key) route yields values."""
-    routes = tuple(replace(r, values=values) if (r.func, r.key) == (func, key)
+    routes = tuple(r._replace(values=values) if (r.func, r.key) == (func, key)
                    else r for r in ROUTES)
     monkeypatch.setattr(portfolio, "ROUTES", routes)
 
@@ -417,7 +430,7 @@ def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch
     swaps = {"decomposition": lambda top: time.sleep(60) or [],
              "flip": raises(DomainError("sabotaged route"))}
     monkeypatch.setattr(portfolio, "ROUTES", tuple(
-        replace(r, values=swaps[r.key]) if r.key in swaps else r for r in ROUTES))
+        r._replace(values=swaps[r.key]) if r.key in swaps else r for r in ROUTES))
     # ... and must stop only the pool's workers, not the caller's children
     bystander = multiprocessing.get_context("fork").Process(
         target=time.sleep, args=(60,))
@@ -623,5 +636,14 @@ def test_installed_entry_points():
 def test_import_leaves_the_worker_pool_unloaded():
     code = ("import sys, hofg.cli; print(sorted(m for m in sys.modules if "
             "m.startswith(('multiprocessing', 'concurrent'))))")
+    out = run_package([sys.executable, "-c", code])
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def test_import_leaves_dataclasses_inspect_and_json_unloaded():
+    # each costs one-shot commands start-up time; only verify's JSON line
+    # needs json, and it imports it when it prints
+    code = ("import sys, hofg.cli; print([m for m in ('dataclasses', 'inspect', "
+            "'json') if m in sys.modules])")
     out = run_package([sys.executable, "-c", code])
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr

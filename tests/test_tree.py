@@ -22,6 +22,7 @@ def test_small_g_slice():
     assert t.parent == {2: 1, 3: 2}
     assert t.label_count() == 3
     assert depth(3) == 2
+    assert repr(t) == "TreeSlice(func='g', max_depth=2)"  # no label maps
 
 
 def test_root_only_slice():

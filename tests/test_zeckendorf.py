@@ -6,6 +6,7 @@ serves as the other's oracle.
 """
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -274,17 +275,38 @@ def test_relaxed_three_odd_start_still_classifies_three_odd():
 
 
 def test_decomposition_validation():
-    with pytest.raises(DomainError):
-        Decomposition((1, 3))
-    with pytest.raises(DomainError):
-        Decomposition((2, 3))  # gap defaults to 2
-    with pytest.raises(DomainError):
-        Decomposition((2, 2), gap=1)
-    with pytest.raises(DomainError):
-        Decomposition((2, 95), gap=1)
-    with pytest.raises(DomainError):
-        Decomposition((2, 4), gap=3)
+    # the first two run under the default gap, 2
+    for args, text in ((((1, 3),), "rank 1 outside [2, 91]"),
+                       (((2, 3),), "ranks 2,3 violate the minimum gap 2"),
+                       (((2, 2), 1), "ranks 2,2 violate the minimum gap 1"),
+                       (((2, 95), 1), "rank 95 outside [2, 91]"),
+                       (((2, 4), 3), "gap must be 1 or 2, got 3")):
+        with pytest.raises(DomainError) as info:
+            Decomposition(*args)
+        assert str(info.value) == text
     assert len(Decomposition((2, 3), gap=1)) == 2
+
+
+def test_decomposition_is_a_frozen_record():
+    d = Decomposition((4, 6))
+    assert (d.ranks, d.gap, len(d)) == ((4, 6), 2, 2)
+    assert repr(d) == "Decomposition(ranks=(4, 6), gap=2)"
+    assert d == Decomposition((4, 6), gap=2) == decompose(11)
+    assert hash(d) == hash(Decomposition((4, 6), 2))
+    assert d != Decomposition((4, 6), gap=1)
+    assert len({d, decompose(11), relax(d)}) == 2
+    assert not Decomposition(()) and len(Decomposition(())) == 0
+    assert pickle.loads(pickle.dumps(d)) == d
+    for name in ("ranks", "gap"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, (2,))
+    assert d.ranks == (4, 6)
+
+
+def test_decomposition_replace_runs_the_checks():
+    assert Decomposition((4, 6))._replace(gap=1) == Decomposition((4, 6), gap=1)
+    with pytest.raises(DomainError):
+        Decomposition((4, 6))._replace(ranks=(2, 3))
 
 
 def test_fib_sum_text():
