@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .fibonacci import _FIB, fib, fib_inv
 from .g_func import Arity, MemoTable, g, g_arity
-from .zeckendorf import RankClass, _greedy_ranks, classify
+from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
 _GBAR = MemoTable("gbar")
 
@@ -79,7 +79,7 @@ def gbar_via_g_correction(n: int) -> int:
     """
     if n < 0:
         raise DomainError(f"gbar_via_g_correction: n must be >= 0, got {n}")
-    bump = 1 if n >= 1 and classify(n) is RankClass.THREE_ODD else 0
+    bump = 1 if n >= 1 and classify(n) is _THREE_ODD else 0
     return g(n) + bump
 
 
@@ -98,8 +98,11 @@ def gbar_via_complement(n: int) -> int:
     if n <= 1:
         return n
     k = depth(n)
-    ranks = _greedy_ranks(fib(k + 2) - n)
-    return fib(k + 1) - sum(_FIB[i - 1] for i in ranks if i > 2)
+    total = fib(k + 1)
+    for i in _greedy_ranks(fib(k + 2) - n):
+        if i > 2:
+            total -= _FIB[i - 1]
+    return total
 
 
 def gbar_rightmost_child(n: int) -> int:

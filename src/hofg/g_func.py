@@ -92,6 +92,8 @@ class MemoTable:
             self._fill(n)
 
     def value(self, n: int) -> int:
+        if 0 <= n < len(self._values):  # filled: no call to ensure
+            return self._values[n]
         if n < 0:
             raise DomainError(f"{self.which}: n must be >= 0, got {n}")
         self.ensure(n)
@@ -163,7 +165,10 @@ def g_via_decomposition(n: int) -> int:
     """
     if n < 0:
         raise DomainError(f"g_via_decomposition: n must be >= 0, got {n}")
-    return sum(_FIB[k - 1] for k in _greedy_ranks(n))
+    total = 0
+    for k in _greedy_ranks(n):
+        total += _FIB[k - 1]
+    return total
 
 
 def g_via_phi(n: int) -> int:

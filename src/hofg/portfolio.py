@@ -16,7 +16,7 @@ from .errors import HofgError
 from .flip_gbar import (gbar, gbar_values, gbar_via_complement, gbar_via_flip,
                         gbar_via_g_correction)
 from .g_func import MemoTable, g, g_values, g_via_decomposition, g_via_phi
-from .zeckendorf import RankClass, classify, low
+from .zeckendorf import _THREE_ODD, classify, low
 
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
@@ -160,7 +160,7 @@ def _invariant_suites(max_n: int):
     yield ("invariant: gbar alternative equation", ok, _span(4, cap))
 
     # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
-    odd3 = [classify(n) is RankClass.THREE_ODD for n in range(1, cap + 1)]
+    odd3 = [classify(n) is _THREE_ODD for n in range(1, cap + 1)]
     marks = [n for n, odd in enumerate(odd3, 1) if odd]
     ok = (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
           and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))

@@ -74,6 +74,12 @@ class RankClass(Enum):
     HIGH_ODD = "HighOdd"
 
 
+# each member bound once by name: RankClass.X costs a slow class lookup on 3.11
+_TWO, _THREE_ODD, _THREE_EVEN = RankClass.TWO, RankClass.THREE_ODD, RankClass.THREE_EVEN
+_THREE_BARE, _HIGH_EVEN, _HIGH_ODD = (RankClass.THREE_BARE, RankClass.HIGH_EVEN,
+                                      RankClass.HIGH_ODD)
+
+
 def _greedy_ranks(n: int) -> list[int]:
     """Canonical ranks of n, ascending: the one greedy walk.
 
@@ -160,12 +166,12 @@ def classify(n: int) -> RankClass:
     ranks = _greedy_ranks(n)
     lo = ranks[0]
     if lo == 2:
-        return RankClass.TWO
+        return _TWO
     if lo == 3:
         if len(ranks) == 1:
-            return RankClass.THREE_BARE
-        return RankClass.THREE_ODD if ranks[1] & 1 else RankClass.THREE_EVEN
-    return RankClass.HIGH_ODD if lo & 1 else RankClass.HIGH_EVEN
+            return _THREE_BARE
+        return _THREE_ODD if ranks[1] & 1 else _THREE_EVEN
+    return _HIGH_ODD if lo & 1 else _HIGH_EVEN
 
 
 def next_three_odd(n: int) -> int:
@@ -178,7 +184,7 @@ def next_three_odd(n: int) -> int:
     while True:
         if m >= _INV_LIMIT:
             raise ValueOverflow("next_three_odd: search left the value range")
-        if classify(m) is RankClass.THREE_ODD:
+        if classify(m) is _THREE_ODD:
             return m
         m += 1
 

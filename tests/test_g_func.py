@@ -213,6 +213,28 @@ def test_memo_table_contracts():
     assert t.prefix(0) == []
 
 
+def test_value_reads_a_filled_entry_without_ensure(monkeypatch):
+    t = MemoTable("g")
+    t.ensure(500)
+    expected = MemoTable("g").prefix(502)
+
+    def refuse(n):
+        raise AssertionError(f"ensure({n}) called for a filled entry")
+
+    monkeypatch.setattr(t, "ensure", refuse)
+    assert [t.value(n) for n in range(501)] == expected[:501]
+    with pytest.raises(DomainError, match="g: n must be >= 0, got -1"):
+        t.value(-1)
+    with pytest.raises(AssertionError):
+        t.value(501)
+    monkeypatch.undo()
+    assert t.value(len(t)) == expected[501]  # the first unfilled index grows it
+    assert len(t) == 502
+    with pytest.raises(DomainError, match="TABLE_MAX"):
+        t.value(TABLE_MAX)
+    assert len(t) == 502
+
+
 def test_memo_table_flavors():
     with pytest.raises(DomainError):
         MemoTable("g", rule="magic")

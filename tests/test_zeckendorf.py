@@ -181,6 +181,18 @@ def test_classify_examples():
     assert classify(2) is RankClass.THREE_BARE
 
 
+@pytest.mark.parametrize("n, member", [
+    (1, "TWO"), (7, "THREE_ODD"), (10, "THREE_EVEN"), (2, "THREE_BARE"),
+    (3, "HIGH_EVEN"), (5, "HIGH_ODD")])
+def test_classify_returns_the_member_itself(n, member):
+    # classify returns names bound once at import; identity, not equality,
+    # catches a bound name that points at the wrong member
+    assert classify(n) is RankClass[member]
+    assert list(decompose(n).ranks)[:2] == {
+        "TWO": [2], "THREE_ODD": [3, 5], "THREE_EVEN": [3, 6],
+        "THREE_BARE": [3], "HIGH_EVEN": [4], "HIGH_ODD": [5]}[member]
+
+
 def test_classify_domain():
     with pytest.raises(DomainError):
         classify(0)
@@ -370,6 +382,31 @@ def test_rank_route_domain_edges():
     assert gbar_via_complement(last) == _flip_oracle(_g_oracle(_flip_oracle(last)))
     with pytest.raises(RankOverflow):
         gbar_via_complement(_COMPLEMENT_EDGE)
+
+
+def test_complement_route_with_and_without_a_rank_two_term():
+    # gbar_via_complement subtracts F(i - 1) for the ranks i > 2 of
+    # F(k + 2) - n; a rank-2 term of the complement is left out
+    def complement(n):
+        return _F[bisect_left(_F, n)] - n  # F(k + 2), the top of n's block
+
+    def oracle(n):
+        return _flip_oracle(_g_oracle(_flip_oracle(n)))
+
+    with_two = [4, 12, 30, 33, 88, _F[60] - 1, _F[91] - 1, _F[91] - 4]
+    without = [5, 11, 31, 87, _F[60] - 2, _F[91] - 2, _F[91]]
+    for n in with_two:
+        assert _ranks_oracle(complement(n))[:1] == [2], n
+    for n in without:
+        assert 2 not in _ranks_oracle(complement(n)), n
+    for n in with_two + without:
+        assert gbar_via_complement(n) == oracle(n), n
+    assert (gbar_via_complement(4), gbar_via_complement(5)) == (3, 3)
+    assert gbar_via_complement(_F[91]) == _F[90]
+    with pytest.raises(RankOverflow, match="^fib: rank 92 exceeds table maximum 91$"):
+        gbar_via_complement(_COMPLEMENT_EDGE)
+    with pytest.raises(RankOverflow):
+        gbar_via_complement(2**63 - 1)
 
 
 def test_rank_routes_at_random_points_across_the_domain():
