@@ -20,6 +20,9 @@ import argparse
 
 from hofg import gbar_values
 
+N = 28  # last index of the enumerated tables
+SHOW = 2  # how many non-monotone tables to print
+
 
 def solutions(limit):
     """Yield every table [f(0), ..., f(limit)] satisfying the equation."""
@@ -37,30 +40,25 @@ def solutions(limit):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--to", type=int, default=28,
-                        help="table length to enumerate (default 28)")
-    parser.add_argument("--show", type=int, default=2,
-                        help="how many non-monotone tables to print")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     total = 0
     monotone = []
     shown = 0
-    for f in solutions(args.to):
+    for f in solutions(N):
         total += 1
         if all(a <= b for a, b in zip(f, f[1:])):
             monotone.append(f)
-        elif shown < args.show:
+        elif shown < SHOW:
             shown += 1
             drop = next(i for i in range(1, len(f)) if f[i] < f[i - 1])
             print(f"non-monotone table (first drop at n={drop}):")
             print(f"  {f}")
 
-    expected = gbar_values(args.to + 1)
+    expected = gbar_values(N + 1)
     interiors = {tuple(f[:-1]) for f in monotone}
     print()
-    print(f"tables over [0, {args.to}] satisfying the equation: {total}")
+    print(f"tables over [0, {N}] satisfying the equation: {total}")
     print(f"nondecreasing among them: {len(monotone)}")
     print(f"gbar is one of them: {expected in monotone}")
     print(f"all of them equal gbar below the window edge: "

@@ -1,39 +1,24 @@
 #!/usr/bin/env python3
-"""Canonical Fibonacci-sum forms, their rank classes, and normalization.
+"""Canonical Fibonacci-sum forms and their rank classes.
 
-The first table shows each n with its canonical form and class.  The
-second part takes one value apart: relax the canonical form into a legal
-non-canonical variant, then normalize it back and confirm the round trip.
+Shows each n with its canonical form, its lowest rank and its class.
+For a relax/normalize round trip, run `hofg decomp 24 --relaxed-demo`.
 """
 
 import argparse
 
-from hofg import classify, decompose, fib_sum_text, low, normalize, relax, sum_of
+from hofg import classify, decompose, fib_sum_text, low
+
+TOP = 25  # last value in the table
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--to", type=int, default=25,
-                        help="last value in the table (default 25)")
-    parser.add_argument("--take-apart", type=int, default=24,
-                        help="value for the relax/normalize walkthrough")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     print(f"{'n':>4}  {'canonical':<22} {'low':>3}  class")
-    for n in range(1, args.to + 1):
-        d = decompose(n)
-        print(f"{n:>4}  {fib_sum_text(d):<22} {low(n):>3}  {classify(n).value}")
-
-    n = args.take_apart
-    d = decompose(n)
-    r = relax(d)
-    back = normalize(r)
-    print()
-    print(f"take {n} apart:")
-    print(f"  canonical : {fib_sum_text(d)}  (ranks {list(d.ranks)})")
-    print(f"  relaxed   : {fib_sum_text(r)}  (ranks {list(r.ranks)})")
-    print(f"  both sum to {sum_of(d)} == {sum_of(r)}")
-    print(f"  normalize(relaxed) == canonical: {back == d}")
+    for n in range(1, TOP + 1):
+        form = fib_sum_text(decompose(n))
+        print(f"{n:>4}  {form:<22} {low(n):>3}  {classify(n).value}")
 
 
 if __name__ == "__main__":

@@ -10,19 +10,17 @@ import argparse
 
 from hofg import RankClass, classify, g_values, gbar_values, next_three_odd
 
+TOP = 40  # last index to print
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--to", type=int, default=40,
-                        help="last index to print (default 40)")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
-    top = args.to
-    gv = g_values(top + 2)
-    bv = gbar_values(top + 2)
+    gv = g_values(TOP + 2)
+    bv = gbar_values(TOP + 2)
 
     print(f"{'n':>4} {'g':>4} {'gbar':>4}  {'dg':>2} {'dgb':>3}  note")
-    for n in range(top + 1):
+    for n in range(TOP + 1):
         dg = gv[n + 1] - gv[n]
         db = bv[n + 1] - bv[n]
         note = ""

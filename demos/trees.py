@@ -1,37 +1,32 @@
 #!/usr/bin/env python3
-"""Tree slices: level geometry, arity census, and DOT output.
+"""Tree slices: level geometry and arity census.
 
 Levels of both trees occupy the same label blocks; what differs is which
 side of a binary node carries the binary child.  The arity census shows
 the self-similar proportions (unary and binary counts per level are
-consecutive Fibonacci numbers).
+consecutive Fibonacci numbers).  For DOT output, run
+`hofg tree g --depth 4`.
 """
 
 import argparse
 
-from hofg import Arity, build_tree, export_dot
+from hofg import Arity, build_tree
+
+FUNC = "g"  # "g" or "gbar"
+DEPTH = 8
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--func", choices=["g", "gbar"], default="g")
-    parser.add_argument("--depth", type=int, default=8)
-    parser.add_argument("--emit-dot", action="store_true",
-                        help="also print DOT for a depth-4 slice")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
-    t = build_tree(args.func, args.depth)
-    print(f"{args.func} tree to depth {args.depth}: {t.label_count()} nodes")
+    t = build_tree(FUNC, DEPTH)
+    print(f"{FUNC} tree to depth {DEPTH}: {t.label_count()} nodes")
     print(f"{'level':>5}  {'labels':<16} {'size':>5} {'unary':>6} {'binary':>6}")
-    for k in range(args.depth + 1):
+    for k in range(DEPTH + 1):
         lv = t.level(k)
         unary = sum(1 for n in lv if t.arity[n] is Arity.UNARY)
         span = f"{lv.start}..{lv.stop - 1}"
         print(f"{k:>5}  {span:<16} {len(lv):>5} {unary:>6} {len(lv) - unary:>6}")
-
-    if args.emit_dot:
-        print()
-        print(export_dot(build_tree(args.func, 4)), end="")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import pytest
 
 import hofg
 from hofg import (
+    Arity,
     Decomposition,
     RankClass,
     classify,
@@ -25,8 +26,10 @@ from hofg import (
     fib,
     fib_sum_text,
     flip,
+    g_arity,
     g_via_decomposition,
     g_via_phi,
+    gbar_arity,
     gbar_via_complement,
     low,
     next_three_odd,
@@ -34,7 +37,7 @@ from hofg import (
     relax,
     sum_of,
 )
-from hofg.errors import DomainError, RankOverflow, ValueOverflow
+from hofg.errors import DomainError, HofgError, RankOverflow, ValueOverflow
 from hofg.fibonacci import _INV_LIMIT
 from hofg.zeckendorf import _greedy_ranks
 
@@ -225,9 +228,13 @@ def test_next_three_odd_from_far_below_zero():
 
 
 def test_next_three_odd_past_the_value_range():
+    # F(91) + 1 = F(2) + F(91) is Two, the next number F(3) + F(91) three-odd
+    assert _ranks_oracle(fib(91) + 2) == [3, 91]
+    assert next_three_odd(fib(91)) == fib(91) + 2 == 4660046610375530311
     # F(92) - 1 is itself three-odd, so the first step leaves the range
     top = fib(91) + fib(90) - 1
     assert classify(top) is THREE_ODD
+    assert next_three_odd(top - 1) == top
     with pytest.raises(ValueOverflow):
         next_three_odd(top)
 
@@ -358,6 +365,17 @@ def _flip_oracle(n):
     return 1 + _F[k + 3] - n
 
 
+def _gbar_oracle(n):
+    return _flip_oracle(_g_oracle(_flip_oracle(n)))
+
+
+def _preimages(oracle, n):
+    """The m with oracle(m) == n, for the g or gbar oracle: they lie within
+    1 of n + g(n), about phi * n (2 is a margin)."""
+    c = n + _g_oracle(n)
+    return [m for m in range(c - 2, c + 3) if oracle(m) == n]
+
+
 def _log_uniform_points(rng, edge, count):
     """edge - 1 plus count - 1 points in [1, edge), uniform in bit length."""
     top = (edge - 1).bit_length()
@@ -379,9 +397,26 @@ def test_rank_route_domain_edges():
             route(_INV_EDGE)
     last = _COMPLEMENT_EDGE - 1
     assert last == fib(91)
-    assert gbar_via_complement(last) == _flip_oracle(_g_oracle(_flip_oracle(last)))
+    assert gbar_via_complement(last) == _gbar_oracle(last)
     with pytest.raises(RankOverflow):
         gbar_via_complement(_COMPLEMENT_EDGE)
+
+
+def test_arity_domain_edges():
+    # a node's children are its preimages: one for a unary node, two for a binary one
+    def arity(oracle, n):
+        return (None, Arity.UNARY, Arity.BINARY)[len(_preimages(oracle, n))]
+
+    for n in range(2, 2_000):
+        assert g_arity(n) is arity(_g_oracle, n), n
+        assert gbar_arity(n) is arity(_gbar_oracle, n), n
+    assert g_arity(_INV_EDGE - 1) is arity(_g_oracle, _INV_EDGE - 1) is Arity.UNARY
+    with pytest.raises(HofgError):
+        g_arity(_INV_EDGE)
+    # gbar_arity reads flip, whose top edge is F(90)
+    assert gbar_arity(_F[90]) is arity(_gbar_oracle, _F[90]) is Arity.BINARY
+    with pytest.raises(HofgError):
+        gbar_arity(_F[90] + 1)
 
 
 def test_complement_route_with_and_without_a_rank_two_term():
@@ -390,9 +425,6 @@ def test_complement_route_with_and_without_a_rank_two_term():
     def complement(n):
         return _F[bisect_left(_F, n)] - n  # F(k + 2), the top of n's block
 
-    def oracle(n):
-        return _flip_oracle(_g_oracle(_flip_oracle(n)))
-
     with_two = [4, 12, 30, 33, 88, _F[60] - 1, _F[91] - 1, _F[91] - 4]
     without = [5, 11, 31, 87, _F[60] - 2, _F[91] - 2, _F[91]]
     for n in with_two:
@@ -400,7 +432,7 @@ def test_complement_route_with_and_without_a_rank_two_term():
     for n in without:
         assert 2 not in _ranks_oracle(complement(n)), n
     for n in with_two + without:
-        assert gbar_via_complement(n) == oracle(n), n
+        assert gbar_via_complement(n) == _gbar_oracle(n), n
     assert (gbar_via_complement(4), gbar_via_complement(5)) == (3, 3)
     assert gbar_via_complement(_F[91]) == _F[90]
     with pytest.raises(RankOverflow, match="^fib: rank 92 exceeds table maximum 91$"):
@@ -417,7 +449,7 @@ def test_rank_routes_at_random_points_across_the_domain():
         assert low(n) == ranks[0], n
         assert g_via_decomposition(n) == _g_oracle(n), n
     for n in _log_uniform_points(rng, _COMPLEMENT_EDGE, 2000):
-        assert gbar_via_complement(n) == _flip_oracle(_g_oracle(_flip_oracle(n))), n
+        assert gbar_via_complement(n) == _gbar_oracle(n), n
     for n in _log_uniform_points(rng, _F[90] + 1, 2000):
         assert flip(n) == _flip_oracle(n), n
     for n in _log_uniform_points(rng, _F[92] + 1, 2000):
