@@ -35,12 +35,17 @@ _INV_LIMIT = _FIB[RANK_MAX] + _FIB[RANK_MAX - 1]
 _TOP_RANK: tuple[int, ...] = tuple(bisect_left(_FIB, 1 << b) - 1 for b in range(64))
 
 
+def _beyond(k: int) -> RankOverflow:
+    """The error for a rank k above the table, as fib reports it."""
+    return RankOverflow(f"fib: rank {k} exceeds table maximum {RANK_MAX}")
+
+
 def fib(k: int) -> int:
     """Return F(k) for 0 <= k <= 91."""
     if k < 0:
         raise DomainError(f"fib: negative rank {k}")
     if k > RANK_MAX:
-        raise RankOverflow(f"fib: rank {k} exceeds table maximum {RANK_MAX}")
+        raise _beyond(k)
     return _FIB[k]
 
 

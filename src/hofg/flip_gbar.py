@@ -8,7 +8,7 @@ that cross-validate each other:
 
 * conjugation:        gbar(n) = flip(g(flip(n)))
 * defining equation:  gbar(n) = n + 1 - gbar(1 + gbar(n-1))   (n > 3)
-* difference bits:    like g's, with a longer seed run
+* Fibonacci word:     running sums of the mirror Fibonacci word
 * correction:         gbar(n) = g(n) + 1 exactly when n is ThreeOdd
 * complement:         rank arithmetic on F(k+2) - n, k = depth(n)
 """
@@ -16,7 +16,7 @@ that cross-validate each other:
 from __future__ import annotations
 
 from .errors import DomainError
-from .fibonacci import _FIB, fib, fib_inv
+from .fibonacci import _FIB, _beyond, fib_inv
 from .g_func import Arity, MemoTable, g, g_arity
 from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
@@ -47,7 +47,11 @@ def flip(n: int) -> int:
         raise DomainError(f"flip: n must be >= 0, got {n}")
     if n <= 1:
         return n
-    return 1 + fib(3 + depth(n)) - n
+    r = fib_inv(n - 1) + 2  # the rank k + 3
+    try:
+        return 1 + _FIB[r] - n
+    except IndexError:
+        raise _beyond(r) from None
 
 
 def gbar(n: int, table: MemoTable | None = None) -> int:
@@ -86,20 +90,25 @@ def gbar_via_g_correction(n: int) -> int:
 def gbar_via_complement(n: int) -> int:
     """gbar(n) by rank arithmetic on the complement within n's depth block.
 
-    For n >= 2 with k = depth(n): decompose F(k+2) - n canonically and
-    subtract the rank-shifted complement from F(k+1), leaving out a rank-2
+    For n >= 2, n lies in the block [1 + F(k), F(k+1)] with
+    k = fib_inv(n-1) = depth(n) + 1: decompose F(k+1) - n canonically and
+    subtract the rank-shifted complement from F(k), leaving out a rank-2
     term (its shifted F(1) = 1 would be subtracted and then added back,
     because F(1) = F(2)):
 
-        gbar(n) = F(k+1) - sum(F(i-1) for ranks i > 2)
+        gbar(n) = F(k) - sum(F(i-1) for ranks i > 2)
     """
     if n < 0:
         raise DomainError(f"gbar_via_complement: n must be >= 0, got {n}")
     if n <= 1:
         return n
-    k = depth(n)
-    total = fib(k + 1)
-    for i in _greedy_ranks(fib(k + 2) - n):
+    k = fib_inv(n - 1)
+    try:
+        top = _FIB[k + 1]
+    except IndexError:
+        raise _beyond(k + 1) from None
+    total = _FIB[k]
+    for i in _greedy_ranks(top - n):
         if i > 2:
             total -= _FIB[i - 1]
     return total

@@ -7,7 +7,8 @@ fall out of
 
 * the defining equation, filled ascending into a memo table,
 * a rank-shift on the canonical Fibonacci decomposition of n,
-* a one-bit recurrence on successive differences, and
+* running sums of the Fibonacci word, the steps g(n+1) - g(n)
+  (portfolio.py), and
 * an exact golden-ratio floor formula.
 
 Keeping all four routes alive (rather than collapsing them into the fastest
@@ -53,9 +54,10 @@ class MemoTable:
 
     which selects the function ("g" or "gbar"); rule selects the fill
     algorithm ("defining" for the function's own equation, "delta" for the
-    difference-bit recurrence).  Both rules produce the same values; they
-    exist separately so equivalence checks compare genuinely different code
-    paths.  With the shift c = 0 for g and c = 1 for gbar, entry m is
+    difference-bit recurrence).  Both rules produce the same values, and
+    the unit tests compare them; `hofg check` compares the Fibonacci-word
+    routes instead, which share no code with this fill.  With the shift
+    c = 0 for g and c = 1 for gbar, entry m is
 
         defining:  m + c - v[c + v[m-1]]
         delta:     v[m-1] + 1 - d(m-2) * d(j),  j = v[m-2+c]

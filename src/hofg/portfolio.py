@@ -2,7 +2,10 @@
 
 ROUTES lists every independent route to g and gbar once; check() compares
 each selected route with the defining-equation table of its function and
-runs five invariant spot checks, so a route added here is checked.
+runs five invariant spot checks, so a route added here is checked.  The
+two `word` routes sum the step bits g(n+1) - g(n), which form the
+Fibonacci word, and its mirror for gbar: they build byte strings and no
+table.
 """
 
 from __future__ import annotations
@@ -10,12 +13,13 @@ from __future__ import annotations
 import os
 import sys
 import time
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import HofgError
 from .flip_gbar import (gbar, gbar_values, gbar_via_complement, gbar_via_flip,
                         gbar_via_g_correction)
-from .g_func import MemoTable, g, g_values, g_via_decomposition, g_via_phi
+from .g_func import g, g_values, g_via_decomposition, g_via_phi
 from .zeckendorf import _THREE_ODD, classify, low
 
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
@@ -37,18 +41,27 @@ def _scalar(fn: Callable[[int], int]) -> Callable[[int], Iterable[int]]:
     return lambda top: map(fn, range(top + 1))
 
 
-def _delta_table(which: str) -> Callable[[int], Iterable[int]]:
-    return lambda top: MemoTable(which, rule="delta").prefix(top + 1)
+def _word(mirror: bool) -> Callable[[int], Iterable[int]]:
+    """Running sums of a Fibonacci word from s0 = 1, s1 = 10.  The g word
+    grows by s(k+1) = s(k) + s(k-1).  The mirror grows by s(k-1) + s(k), and
+    its odd-k words are prefixes of gbar's step bits, its even-k words not
+    (an identity the check itself confirms)."""
+    def values(top: int) -> Iterable[int]:
+        prev, word, odd = b"\x01", b"\x01\x00", True
+        while len(word) < top or (mirror and not odd):
+            prev, word, odd = word, (prev + word if mirror else word + prev), not odd
+        return accumulate(word[:top], initial=0)
+    return values
 
 
 ROUTES = (
     Route("g", "decomposition", "g: defining = decomposition",
           _scalar(g_via_decomposition)),
-    Route("g", "delta", "g: defining = delta", _delta_table("g")),
+    Route("g", "word", "g: defining = word", _word(mirror=False)),
     Route("g", "phi", "g: defining = phi floor", _scalar(g_via_phi)),
     Route("gbar", "flip", "gbar: defining = flip conjugation",
           _scalar(gbar_via_flip)),
-    Route("gbar", "delta", "gbar: defining = delta", _delta_table("gbar")),
+    Route("gbar", "word", "gbar: defining = word", _word(mirror=True)),
     Route("gbar", "correction", "gbar: defining = g + three-odd correction",
           _scalar(gbar_via_g_correction)),
     Route("gbar", "complement", "gbar: defining = complement ranks",

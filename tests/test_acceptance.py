@@ -77,7 +77,7 @@ def sweep_routes(func, defining, count):
 def test_criterion_2_four_way_g_equivalence():
     started = time.perf_counter()
     defining = MemoTable("g").prefix(LIMIT + 1)
-    sweep_routes("g", defining, 3)  # decomposition, delta, phi floor
+    sweep_routes("g", defining, 3)  # decomposition, word, phi floor
     assert g_via_phi(1) == defining[1]  # pins the off-by-one in the floor form
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -87,7 +87,7 @@ def test_criterion_2_four_way_g_equivalence():
 def test_criterion_3_five_way_gbar_equivalence():
     started = time.perf_counter()
     defining = MemoTable("gbar").prefix(LIMIT + 1)
-    sweep_routes("gbar", defining, 4)  # flip, delta, correction, complement
+    sweep_routes("gbar", defining, 4)  # flip, word, correction, complement
     elapsed = time.perf_counter() - started
     assert elapsed < 20.0
     report(3, f"five-way gbar equivalence to {LIMIT}", f" ({elapsed:.1f} s)")

@@ -23,7 +23,7 @@ import pytest
 import hofg
 import hofg.cli as cli
 import hofg.portfolio as portfolio
-from hofg import MemoTable, errors, g_values, gbar_values, parse_bfile
+from hofg import errors, g_values, gbar_values, parse_bfile
 from hofg.cli import run
 from hofg.errors import DomainError, HofgError
 from hofg.portfolio import ROUTES
@@ -189,7 +189,7 @@ def test_check_small(capsys):
 
 def test_check_algorithm_subset(capsys):
     code, out, _ = invoke(capsys, "check", "--max", "2000",
-                          "--algorithms", "phi,delta")
+                          "--algorithms", "phi,word")
     assert code == 0
     assert "SUMMARY: 8/8 suites passed" in out
     assert "decomposition" not in out
@@ -212,6 +212,11 @@ def test_check_empty_algorithm_list(capsys, selection):
     assert ",".join(dict.fromkeys(r.key for r in ROUTES)) in err
 
 
+def route(func, key):
+    """The registry's route of func with key."""
+    return next(r for r in ROUTES if (r.func, r.key) == (func, key))
+
+
 def sabotage(monkeypatch, func, key, values):
     """Make check iterate a registry whose (func, key) route yields values."""
     routes = tuple(r._replace(values=values) if (r.func, r.key) == (func, key)
@@ -227,13 +232,12 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert "FAIL  g: defining = phi floor" in out
     assert "first mismatch at n=1: 0 != 1" in out
     assert "SUMMARY: 11/12 suites passed" in out
-    # a table route reports through the same comparison: gbar's table
-    # leaves g's at the first three-odd number, gbar(7) = 5 != 4 = g(7)
-    sabotage(monkeypatch, "g", "delta",
-             lambda top: MemoTable("gbar", rule="delta").prefix(top + 1))
+    # a word route reports through the same comparison: gbar's word leaves
+    # g's at the first three-odd number, gbar(7) = 5 != 4 = g(7)
+    sabotage(monkeypatch, "g", "word", route("gbar", "word").values)
     code, out, _ = invoke(capsys, "check", "--max", "200")
     assert code == 1
-    assert "FAIL  g: defining = delta" in out
+    assert "FAIL  g: defining = word" in out
     assert "first mismatch at n=7: 5 != 4" in out
     assert "PASS  g: defining = phi floor" in out
     assert "SUMMARY: 11/12 suites passed" in out
@@ -259,11 +263,11 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
                          out, re.M)
         assert "SUMMARY: 11/12 suites passed" in out
     # too many: a correct sweep with one value past max_n
-    sabotage(monkeypatch, "gbar", "delta",
-             lambda top: MemoTable("gbar", rule="delta").prefix(top + 2))
+    word = route("gbar", "word").values
+    sabotage(monkeypatch, "gbar", "word", lambda top: word(top + 1))
     code, out, _ = invoke(capsys, "check", "--max", max_n)
     assert code == 1
-    assert re.search(suite_line("FAIL", "gbar: defining = delta",
+    assert re.search(suite_line("FAIL", "gbar: defining = word",
                                 f"route yielded more than {top + 1} values") + "$",
                      out, re.M)
     assert "SUMMARY: 11/12 suites passed" in out
@@ -457,7 +461,7 @@ def test_check_worker_death_exits_one(capsys, monkeypatch):
 
 
 def test_check_memory_error_exits_one(capsys, monkeypatch):
-    sabotage(monkeypatch, "g", "delta", raises(MemoryError()))
+    sabotage(monkeypatch, "g", "word", raises(MemoryError()))
     code, out, err = invoke(capsys, "check", "--max", "200")
     assert (code, out) == (1, "")
     assert err.startswith("error:")
@@ -480,7 +484,7 @@ OUT_OF_MEMORY_LIMIT = 200 * 2**20  # bytes; a 3*10^7-entry table needs ~1.2 GB
                     reason="address-space limits are enforced on Linux")
 @pytest.mark.parametrize("argv", [
     ["verify", "--bfile", "{bfile}", "--func", "g"],
-    ["check", "--max", "30000000", "--algorithms", "delta"],
+    ["check", "--max", "30000000", "--algorithms", "word"],
 ], ids=["verify", "check"])
 def test_out_of_memory_exits_one_with_one_line(tmp_path, argv):
     import resource
@@ -517,10 +521,10 @@ def test_check_routes_come_from_the_registry(capsys):
     # (function, --algorithms key, suite name) of every route, in check order
     assert [(r.func, r.key, r.name) for r in ROUTES] == [
         ("g", "decomposition", "g: defining = decomposition"),
-        ("g", "delta", "g: defining = delta"),
+        ("g", "word", "g: defining = word"),
         ("g", "phi", "g: defining = phi floor"),
         ("gbar", "flip", "gbar: defining = flip conjugation"),
-        ("gbar", "delta", "gbar: defining = delta"),
+        ("gbar", "word", "gbar: defining = word"),
         ("gbar", "correction", "gbar: defining = g + three-odd correction"),
         ("gbar", "complement", "gbar: defining = complement ranks"),
     ]

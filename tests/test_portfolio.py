@@ -1,5 +1,5 @@
 """The route registry: each route stays independent of its own function's
-defining table."""
+defining table, and no route builds a table of its own."""
 
 import pytest
 
@@ -7,7 +7,11 @@ from hofg import MemoTable, flip_gbar, g_func
 from hofg.portfolio import ROUTES
 
 
-@pytest.mark.parametrize("route", ROUTES, ids=lambda route: f"{route.func}-{route.key}")
+def ids(route):
+    return f"{route.func}-{route.key}"
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ids)
 def test_no_route_reads_its_own_functions_table(monkeypatch, route):
     # a shared table with one wrong entry: a route that reads it fails.
     # gbar's flip and correction routes may read the intact g table.
@@ -17,3 +21,30 @@ def test_no_route_reads_its_own_functions_table(monkeypatch, route):
     module, name = (g_func, "_G") if route.func == "g" else (flip_gbar, "_GBAR")
     monkeypatch.setattr(module, name, wrong)
     assert list(route.values(2000)) == MemoTable(route.func).prefix(2001)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ids)
+def test_no_route_builds_a_memo_table(monkeypatch, route):
+    # a route may read the shared tables, but a table of its own would hold
+    # about 28 B per entry where a word route holds 1 B
+    built = []
+    init = MemoTable.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoTable, "__init__", counted_init)
+    for _ in route.values(2000):
+        pass
+    assert built == []
+
+
+@pytest.mark.parametrize("func", ["g", "gbar"])
+def test_word_routes_match_the_defining_table(func):
+    route = next(r for r in ROUTES if (r.func, r.key) == (func, "word"))
+    table = MemoTable(func)
+    expect = table.prefix(3000)
+    for top in range(3000):  # each word length, and each length between
+        assert list(route.values(top)) == expect[:top + 1], top
+    assert list(route.values(10**6)) == table.prefix(10**6 + 1)
