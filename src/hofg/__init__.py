@@ -6,13 +6,11 @@ cross-validate them over large ranges.
 """
 
 from .errors import (
-    DepthLimit,
     DomainError,
     GapError,
     HofgError,
     ParseError,
     RankOverflow,
-    ValueOverflow,
 )
 from .fibonacci import RANK_MAX, VALUE_LIMIT, fib, fib_inv
 from .flip_gbar import (

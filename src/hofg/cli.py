@@ -3,7 +3,8 @@
 Subcommands: eval (one value), seq (a range), decomp (Fibonacci-sum form),
 tree (DOT export), check (cross-validation of the whole algorithm
 portfolio), verify (b-file conformance).  Exit codes: 0 success, 1
-computation or conformance failure, 2 usage.  The check engine lives in
+computation or conformance failure, 2 usage; a HofgError prints as one
+`error:` line in the library's own text.  The check engine lives in
 portfolio.py; check here validates --algorithms and prints one line per
 suite, with the seconds it took where it ran, and a summary.
 """
@@ -14,8 +15,7 @@ import argparse
 import sys
 import time
 
-from .errors import HofgError, RankOverflow
-from .fibonacci import RANK_MAX
+from .errors import HofgError
 from .flip_gbar import depth, flip, gbar_values, gbar_via_complement
 from .g_func import g_values, g_via_decomposition
 from .oeis import parse_bfile, verify
@@ -92,17 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at(name: str, fn, n: int):
-    """fn(n), with a rank overflow inside fn reported as name's, at the n typed."""
-    try:
-        return fn(n)
-    except RankOverflow:
-        raise RankOverflow(
-            f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}") from None
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    print(_at(args.func, _EVAL[args.func], args.n))
+    print(_EVAL[args.func](args.n))
     return 0
 
 
@@ -121,7 +112,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
-    d = _at("decomp", decompose, args.n)
+    d = decompose(args.n)
     print(fib_sum_text(d))
     print("[" + ",".join(map(str, d.ranks)) + "]")
     if args.relaxed_demo:
@@ -169,7 +160,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 1
-    report = verify(parse_bfile(text), args.func, args.offset)
+    records = parse_bfile(text)
+    if not records:  # an empty or comment-only file, say a truncated download
+        print(f"error: {args.bfile}: no records", file=sys.stderr)
+        return 1
+    report = verify(records, args.func, args.offset)
     sys.stdout.write(report.to_text())
     print(report.summary_json())
     return 0 if report.ok else 1

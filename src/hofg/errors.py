@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-Every reported failure is an explicit exception; arithmetic never wraps
-around silently and out-of-domain inputs never produce garbage values.
+Every reported failure is an explicit exception.  An input outside a public
+function's documented domain raises DomainError; past a top edge of the rank
+table it is the subclass RankOverflow, whose text names the function and n.
 """
 
 from __future__ import annotations
@@ -15,12 +16,8 @@ class DomainError(HofgError):
     """Input is outside the function's documented domain."""
 
 
-class RankOverflow(HofgError):
-    """A Fibonacci rank outside the fixed table (0..91) was required."""
-
-
-class ValueOverflow(HofgError):
-    """A checked integer operation left the supported value range."""
+class RankOverflow(DomainError):
+    """The input needs a Fibonacci rank beyond the fixed table (0..91)."""
 
 
 class _LineError(HofgError):
@@ -44,7 +41,3 @@ class ParseError(_LineError):
 
 class GapError(_LineError):
     """B-file indices are not consecutive."""
-
-
-class DepthLimit(HofgError):
-    """A tree slice deeper than the supported maximum was requested."""

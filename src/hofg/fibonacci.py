@@ -1,9 +1,9 @@
 """Fibonacci numbers over a fixed, checked range.
 
-The sequence is F(0) = 0, F(1) = 1, F(k+2) = F(k) + F(k+1).  Everything in
-this package works with values below 2**63, and ranks are capped at 91: the
-table is computed once, ascending, and never extended.  Requests outside the
-table are reported as errors, never approximated.
+The sequence is F(0) = 0, F(1) = 1, F(k+2) = F(k) + F(k+1).  Values stay
+below 2**63 and ranks at most 91: the table is computed once and never
+extended.  Each public function that reads ranks checks n against its own
+top edge before its first lookup, so its RankOverflow names it and that n.
 """
 
 from __future__ import annotations
@@ -35,17 +35,12 @@ _INV_LIMIT = _FIB[RANK_MAX] + _FIB[RANK_MAX - 1]
 _TOP_RANK: tuple[int, ...] = tuple(bisect_left(_FIB, 1 << b) - 1 for b in range(64))
 
 
-def _beyond(k: int) -> RankOverflow:
-    """The error for a rank k above the table, as fib reports it."""
-    return RankOverflow(f"fib: rank {k} exceeds table maximum {RANK_MAX}")
-
-
 def fib(k: int) -> int:
     """Return F(k) for 0 <= k <= 91."""
     if k < 0:
         raise DomainError(f"fib: negative rank {k}")
     if k > RANK_MAX:
-        raise _beyond(k)
+        raise RankOverflow(f"fib: rank {k} exceeds table maximum {RANK_MAX}")
     return _FIB[k]
 
 
@@ -59,7 +54,7 @@ def fib_inv(n: int) -> int:
     if n < 1:
         raise DomainError(f"fib_inv: n must be >= 1, got {n}")
     if n >= _INV_LIMIT:
-        raise RankOverflow(f"fib_inv: n = {n} needs a rank beyond {RANK_MAX}")
+        raise RankOverflow(f"fib_inv: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     k = _TOP_RANK[n.bit_length()]
     while _FIB[k] > n:
         k -= 1

@@ -15,8 +15,8 @@ that cross-validate each other:
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .fibonacci import _FIB, _beyond, fib_inv
+from .errors import DomainError, RankOverflow
+from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, fib_inv
 from .g_func import Arity, MemoTable, g, g_arity
 from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
@@ -34,6 +34,8 @@ def depth(n: int) -> int:
         raise DomainError(f"depth: n must be >= 0, got {n}")
     if n <= 1:
         return 0
+    if n > _INV_LIMIT:  # F(92): above it, n - 1 needs rank 92
+        raise RankOverflow(f"depth: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     return fib_inv(n - 1) - 1
 
 
@@ -47,11 +49,9 @@ def flip(n: int) -> int:
         raise DomainError(f"flip: n must be >= 0, got {n}")
     if n <= 1:
         return n
-    r = fib_inv(n - 1) + 2  # the rank k + 3
-    try:
-        return 1 + _FIB[r] - n
-    except IndexError:
-        raise _beyond(r) from None
+    if n > _FIB[RANK_MAX - 1]:  # F(90): above it, the rank k + 3 passes 91
+        raise RankOverflow(f"flip: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    return 1 + _FIB[fib_inv(n - 1) + 2] - n  # F(k + 3)
 
 
 def gbar(n: int, table: MemoTable | None = None) -> int:
@@ -102,13 +102,12 @@ def gbar_via_complement(n: int) -> int:
         raise DomainError(f"gbar_via_complement: n must be >= 0, got {n}")
     if n <= 1:
         return n
+    if n > _FIB[RANK_MAX]:  # F(91): above it, the rank k + 1 passes 91
+        raise RankOverflow(
+            f"gbar_via_complement: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     k = fib_inv(n - 1)
-    try:
-        top = _FIB[k + 1]
-    except IndexError:
-        raise _beyond(k + 1) from None
     total = _FIB[k]
-    for i in _greedy_ranks(top - n):
+    for i in _greedy_ranks(_FIB[k + 1] - n, "gbar_via_complement"):
         if i > 2:
             total -= _FIB[i - 1]
     return total

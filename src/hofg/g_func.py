@@ -165,10 +165,8 @@ def g_via_decomposition(n: int) -> int:
     decomposition of n.  A rank 2 shifts to rank 1, which needs no repair
     because F(1) = F(2).
     """
-    if n < 0:
-        raise DomainError(f"g_via_decomposition: n must be >= 0, got {n}")
     total = 0
-    for k in _greedy_ranks(n):
+    for k in _greedy_ranks(n, "g_via_decomposition"):
         total += _FIB[k - 1]
     return total
 

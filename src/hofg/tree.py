@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DepthLimit, DomainError
+from .errors import DomainError
 from .fibonacci import fib
 from .flip_gbar import gbar_arity, gbar_rightmost_child, gbar_values
 from .g_func import Arity, g_arity, g_max_antecedent, g_values
@@ -58,7 +58,7 @@ def build_tree(func: str, max_depth: int) -> TreeSlice:
     if max_depth < 0:
         raise DomainError(f"build_tree: max_depth must be >= 0, got {max_depth}")
     if max_depth > DEPTH_MAX:
-        raise DepthLimit(f"build_tree: max_depth {max_depth} exceeds {DEPTH_MAX}")
+        raise DomainError(f"build_tree: max_depth {max_depth} exceeds {DEPTH_MAX}")
 
     top = fib(max_depth + 2)
     values = g_values(top + 1) if func == "g" else gbar_values(top + 1)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, RankOverflow, ValueOverflow
-from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT, fib, fib_inv
+from .errors import DomainError, RankOverflow
+from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT
 
 
 class _Form(NamedTuple):
@@ -80,17 +80,19 @@ _THREE_BARE, _HIGH_EVEN, _HIGH_ODD = (RankClass.THREE_BARE, RankClass.HIGH_EVEN,
                                       RankClass.HIGH_ODD)
 
 
-def _greedy_ranks(n: int) -> list[int]:
+def _greedy_ranks(n: int, name: str) -> list[int]:
     """Canonical ranks of n, ascending: the one greedy walk.
 
     Every rank route (decompose, low, classify, g_via_decomposition,
-    gbar_via_complement) reads this list; none walks the ranks itself.
-    Each term is fib_inv's lookup, inlined because a call per term costs
-    more than the lookup: the top rank for the remainder's bit length,
-    stepped down at most twice.
+    gbar_via_complement) reads this list, passing its name for the errors;
+    none walks the ranks itself.  Each term is fib_inv's lookup, inlined
+    because a call per term costs more than the lookup: the top rank for
+    the remainder's bit length, stepped down at most twice.
     """
     if not 0 <= n < _INV_LIMIT:
-        fib_inv(n)  # raises fib_inv's DomainError or RankOverflow
+        if n < 0:
+            raise DomainError(f"{name}: n must be >= 0, got {n}")
+        raise RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     ranks: list[int] = []
     while n:
         k = _TOP_RANK[n.bit_length()]
@@ -109,9 +111,7 @@ def decompose(n: int) -> Decomposition:
     remainder) is what forces gaps >= 2: after removing F(k) the remainder is
     below F(k-1), so rank k-1 can never follow rank k.
     """
-    if n < 0:
-        raise DomainError(f"decompose: n must be >= 0, got {n}")
-    return Decomposition(tuple(_greedy_ranks(n)))
+    return Decomposition(tuple(_greedy_ranks(n, "decompose")))
 
 
 def sum_of(d: Decomposition) -> int:
@@ -124,7 +124,7 @@ def sum_of(d: Decomposition) -> int:
     for k in d.ranks:
         total += _FIB[k]
         if total >= VALUE_LIMIT:
-            raise ValueOverflow("decomposition sums past the value range")
+            raise DomainError("sum_of: decomposition sums past the value range")
     return total
 
 
@@ -156,14 +156,14 @@ def low(n: int) -> int:
     """Lowest rank in the canonical decomposition of n >= 1."""
     if n < 1:
         raise DomainError(f"low: n must be >= 1, got {n}")
-    return _greedy_ranks(n)[0]
+    return _greedy_ranks(n, "low")[0]
 
 
 def classify(n: int) -> RankClass:
     """RankClass of n >= 1; see RankClass for the tag definitions."""
     if n < 1:
         raise DomainError(f"classify: n must be >= 1, got {n}")
-    ranks = _greedy_ranks(n)
+    ranks = _greedy_ranks(n, "classify")
     lo = ranks[0]
     if lo == 2:
         return _TWO
@@ -181,12 +181,11 @@ def next_three_odd(n: int) -> int:
     away, and the first one overall is 7, so the scan below is short.
     """
     m = max(n + 1, 1)
-    while True:
-        if m >= _INV_LIMIT:
-            raise ValueOverflow("next_three_odd: search left the value range")
+    while m < _INV_LIMIT:
         if classify(m) is _THREE_ODD:
             return m
         m += 1
+    raise DomainError(f"next_three_odd: n = {n} has no three-odd successor < F(92)")
 
 
 def relax(d: Decomposition) -> Decomposition:

@@ -75,14 +75,15 @@ def test_eval_answers_up_to_the_rank_edges(capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (("eval", "flip", "2880067194370816121"), "flip"),  # F(90) + 1
-    (("eval", "g", "7540113804746346429"), "g"),  # F(92)
-    (("eval", "gbar", "9223372036854775807"), "gbar"),
+    (("eval", "g", "7540113804746346429"), "g_via_decomposition"),  # F(92)
+    (("eval", "gbar", "9223372036854775807"), "gbar_via_complement"),
     (("eval", "depth", "9223372036854775807"), "depth"),
     (("eval", "low", "9223372036854775807"), "low"),
-    (("decomp", "9223372036854775807"), "decomp"),
+    (("decomp", "9223372036854775807"), "decompose"),
 ])
 def test_rank_overflow_names_the_command_and_the_typed_n(capsys, argv, name):
-    # not the helper that overflowed (fib, fib_inv), nor the n it was given
+    # the function the command runs, not a helper inside it (fib, fib_inv)
+    # at an n it derived
     assert invoke(capsys, *argv) == (
         1, "", f"error: {name}: n = {argv[-1]} needs a Fibonacci rank beyond 91\n")
 
@@ -507,7 +508,8 @@ def test_out_of_memory_exits_one_with_one_line(tmp_path, argv):
 def test_every_error_survives_pickling():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, HofgError)]
-    assert len(classes) >= 8
+    assert {c.__name__ for c in classes} == {
+        "HofgError", "DomainError", "RankOverflow", "_LineError", "ParseError", "GapError"}
     for cls in classes:
         lined = issubclass(cls, errors._LineError)  # ParseError, GapError
         exc = cls(2, "x") if lined else cls("x")
@@ -590,6 +592,15 @@ def test_verify_non_ascii_file(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["", "# A005206\n#\n\n"], ids=["empty", "comments"])
+def test_verify_refuses_a_file_with_no_records(capsys, tmp_path, text):
+    # a truncated download must not pass vacuously
+    path = tmp_path / "b.txt"
+    path.write_text(text)
+    assert invoke(capsys, "verify", "--bfile", str(path), "--func", "g") == (
+        1, "", f"error: {path}: no records\n")
 
 
 def test_verify_missing_file(capsys, tmp_path):

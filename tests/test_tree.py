@@ -13,7 +13,7 @@ from hofg import (
     g,
     gbar,
 )
-from hofg.errors import DepthLimit, DomainError
+from hofg.errors import DomainError
 from hofg.tree import DEPTH_MAX
 
 
@@ -70,7 +70,7 @@ def test_build_errors():
         build_tree("weird", 3)
     with pytest.raises(DomainError):
         build_tree("g", -1)
-    with pytest.raises(DepthLimit):
+    with pytest.raises(DomainError, match=f"^build_tree: max_depth {DEPTH_MAX + 1} "):
         build_tree("g", DEPTH_MAX + 1)
 
 

@@ -24,6 +24,7 @@ from hofg import (
     decompose,
     depth,
     fib,
+    fib_inv,
     fib_sum_text,
     flip,
     g_arity,
@@ -37,7 +38,7 @@ from hofg import (
     relax,
     sum_of,
 )
-from hofg.errors import DomainError, HofgError, RankOverflow, ValueOverflow
+from hofg.errors import DomainError, HofgError, RankOverflow
 from hofg.fibonacci import _INV_LIMIT
 from hofg.zeckendorf import _greedy_ranks
 
@@ -98,8 +99,9 @@ def test_sum_of_examples():
 
 def test_sum_of_overflow():
     d = Decomposition(tuple(range(2, 92)), gap=1)
-    with pytest.raises(ValueOverflow):
+    with pytest.raises(DomainError, match="^sum_of: ") as caught:
         sum_of(d)
+    assert type(caught.value) is DomainError
 
 
 def test_normalize_examples():
@@ -235,8 +237,9 @@ def test_next_three_odd_past_the_value_range():
     top = fib(91) + fib(90) - 1
     assert classify(top) is THREE_ODD
     assert next_three_odd(top - 1) == top
-    with pytest.raises(ValueOverflow):
+    with pytest.raises(DomainError, match=f"^next_three_odd: n = {top} ") as caught:
         next_three_odd(top)
+    assert type(caught.value) is DomainError
 
 
 def test_successor_rank_law():
@@ -376,6 +379,20 @@ def _preimages(oracle, n):
     return [m for m in range(c - 2, c + 3) if oracle(m) == n]
 
 
+def _arity_oracle(oracle, n):
+    """A node's children are its preimages: one when unary, two when binary."""
+    return (None, Arity.UNARY, Arity.BINARY)[len(_preimages(oracle, n))]
+
+
+def _class_oracle(n):
+    lo, *rest = _ranks_oracle(n)
+    if lo == 2:
+        return TWO
+    if lo == 3:
+        return (THREE_ODD if rest[0] & 1 else THREE_EVEN) if rest else RankClass.THREE_BARE
+    return RankClass.HIGH_ODD if lo & 1 else RankClass.HIGH_EVEN
+
+
 def _log_uniform_points(rng, edge, count):
     """edge - 1 plus count - 1 points in [1, edge), uniform in bit length."""
     top = (edge - 1).bit_length()
@@ -403,20 +420,54 @@ def test_rank_route_domain_edges():
 
 
 def test_arity_domain_edges():
-    # a node's children are its preimages: one for a unary node, two for a binary one
-    def arity(oracle, n):
-        return (None, Arity.UNARY, Arity.BINARY)[len(_preimages(oracle, n))]
-
     for n in range(2, 2_000):
-        assert g_arity(n) is arity(_g_oracle, n), n
-        assert gbar_arity(n) is arity(_gbar_oracle, n), n
-    assert g_arity(_INV_EDGE - 1) is arity(_g_oracle, _INV_EDGE - 1) is Arity.UNARY
+        assert g_arity(n) is _arity_oracle(_g_oracle, n), n
+        assert gbar_arity(n) is _arity_oracle(_gbar_oracle, n), n
+    assert g_arity(_INV_EDGE - 1) is _arity_oracle(_g_oracle, _INV_EDGE - 1) is Arity.UNARY
     with pytest.raises(HofgError):
         g_arity(_INV_EDGE)
     # gbar_arity reads flip, whose top edge is F(90)
-    assert gbar_arity(_F[90]) is arity(_gbar_oracle, _F[90]) is Arity.BINARY
+    assert gbar_arity(_F[90]) is _arity_oracle(_gbar_oracle, _F[90]) is Arity.BINARY
     with pytest.raises(HofgError):
         gbar_arity(_F[90] + 1)
+
+
+def _overflow(name):
+    return RankOverflow, f"{name}: n = {{n}} needs a Fibonacci rank beyond 91"
+
+
+# Each public scalar function that reads Fibonacci ranks: its top edge, its
+# oracle, and the exact error above the edge.  The error names the function,
+# or the public function it hands n to, at the n it was given.
+EDGES = [
+    (fib_inv, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[-1], _overflow("fib_inv")),
+    (decompose, _INV_EDGE - 1, lambda n: Decomposition(tuple(_ranks_oracle(n))),
+     _overflow("decompose")),
+    (low, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[0], _overflow("low")),
+    (classify, _INV_EDGE - 1, _class_oracle, _overflow("classify")),
+    (g_via_decomposition, _INV_EDGE - 1, _g_oracle, _overflow("g_via_decomposition")),
+    (g_arity, _INV_EDGE - 1, lambda n: _arity_oracle(_g_oracle, n), _overflow("low")),
+    (depth, _INV_EDGE, lambda n: bisect_left(_F, n) - 2, _overflow("depth")),
+    (flip, _F[90], _flip_oracle, _overflow("flip")),
+    (gbar_arity, _F[90], lambda n: _arity_oracle(_gbar_oracle, n), _overflow("flip")),
+    (gbar_via_complement, _F[91], _gbar_oracle, _overflow("gbar_via_complement")),
+    (next_three_odd, _INV_EDGE - 2,
+     lambda n: next(m for m in range(n + 1, n + 9) if _class_oracle(m) is THREE_ODD),
+     (DomainError, "next_three_odd: n = {n} has no three-odd successor < F(92)")),
+]
+
+
+@pytest.mark.parametrize("func, edge, oracle, error", EDGES,
+                         ids=[row[0].__name__ for row in EDGES])
+def test_top_edge_answers_and_then_names_the_function_and_n(func, edge, oracle, error):
+    assert func(edge) == oracle(edge)
+    kind, text = error
+    for n in (edge + 1, 2**63 - 1):
+        with pytest.raises(HofgError) as caught:
+            func(n)
+        # exact: RankOverflow is itself a DomainError
+        assert type(caught.value) is kind, n
+        assert str(caught.value) == text.format(n=n)
 
 
 def test_complement_route_with_and_without_a_rank_two_term():
@@ -435,7 +486,8 @@ def test_complement_route_with_and_without_a_rank_two_term():
         assert gbar_via_complement(n) == _gbar_oracle(n), n
     assert (gbar_via_complement(4), gbar_via_complement(5)) == (3, 3)
     assert gbar_via_complement(_F[91]) == _F[90]
-    with pytest.raises(RankOverflow, match="^fib: rank 92 exceeds table maximum 91$"):
+    with pytest.raises(RankOverflow, match=f"^gbar_via_complement: n = {_COMPLEMENT_EDGE} "
+                       "needs a Fibonacci rank beyond 91$"):
         gbar_via_complement(_COMPLEMENT_EDGE)
     with pytest.raises(RankOverflow):
         gbar_via_complement(2**63 - 1)
@@ -463,28 +515,29 @@ def test_greedy_walk_matches_a_full_table_walk():
     # the walk looks each term up by its bit length; the oracle bisects the
     # whole table for every term, so agreement on each n pins that no rank is lost
     for n in range(300_001):
-        assert _greedy_ranks(n) == _ranks_oracle(n), n
+        assert _greedy_ranks(n, "decompose") == _ranks_oracle(n), n
 
 
 def test_greedy_walk_domain_edges():
     assert _INV_LIMIT == _INV_EDGE
-    assert _greedy_ranks(_INV_LIMIT - 1) == _ranks_oracle(_INV_LIMIT - 1)
+    assert _greedy_ranks(_INV_LIMIT - 1, "decompose") == _ranks_oracle(_INV_LIMIT - 1)
     # each term starts from the top rank of the remainder's bit length: pin
     # both sides of every Fibonacci number and of every power of two
     edges = {_F[k] + d for k in range(93) for d in (-1, 1)}
     edges |= {(1 << b) + d for b in range(64) for d in (-1, 0)}
     for n in sorted(e for e in edges if 0 <= e < _INV_LIMIT):
-        assert _greedy_ranks(n) == _ranks_oracle(n), n
+        assert _greedy_ranks(n, "decompose") == _ranks_oracle(n), n
     for n in (_INV_LIMIT, 2**63 - 1):
-        with pytest.raises(RankOverflow):
-            _greedy_ranks(n)
+        with pytest.raises(RankOverflow, match=f"^low: n = {n} "):
+            _greedy_ranks(n, "low")
 
 
 def test_greedy_walk_rejects_negatives_without_looping():
     # a negative remainder stops the step-down at rank 0, and peeling F(0) = 0
     # never reaches 0, so a walk without its entry guard hangs: here that
     # fails after 10 s
-    out = run_python("from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1)")
+    out = run_python(
+        "from hofg.zeckendorf import _greedy_ranks; _greedy_ranks(-1, 'decompose')")
     assert out.returncode == 1
     assert out.stderr.splitlines()[-1].endswith(
-        "DomainError: fib_inv: n must be >= 1, got -1"), out.stderr
+        "DomainError: decompose: n must be >= 0, got -1"), out.stderr
