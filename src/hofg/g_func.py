@@ -89,8 +89,8 @@ class MemoTable:
         """Extend the table so that index n is populated."""
         if n >= len(self._values):
             if n >= TABLE_MAX:
-                raise DomainError(f"index {n} needs a table of more than "
-                                  f"TABLE_MAX = {TABLE_MAX} entries")
+                raise DomainError(f"{self.which}: index {n} needs a table of more "
+                                  f"than TABLE_MAX = {TABLE_MAX} entries")
             self._fill(n)
 
     def value(self, n: int) -> int:

@@ -115,7 +115,7 @@ def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyRepo
     fn = g if func == "g" else gbar
     if records and records[0].index + offset < 0:
         raise DomainError(
-            f"offset {offset} sends index {records[0].index} below 0")
+            f"verify: offset {offset} sends index {records[0].index} below 0")
     if records:
         fn(records[-1].index + offset)  # one bulk fill, then cheap lookups
     mismatches = 0

@@ -17,9 +17,9 @@ from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import HofgError
-from .flip_gbar import (gbar, gbar_values, gbar_via_complement, gbar_via_flip,
-                        gbar_via_g_correction)
-from .g_func import g, g_values, g_via_decomposition, g_via_phi
+from .flip_gbar import (_GBAR, gbar, gbar_values, gbar_via_complement,
+                        gbar_via_flip, gbar_via_g_correction)
+from .g_func import _G, g, g_values, g_via_decomposition, g_via_phi
 from .zeckendorf import _THREE_ODD, classify, low
 
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
@@ -96,13 +96,14 @@ def _cpus() -> int:
 
 def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str, float]]:
     """(name, ok, detail, seconds) of ROUTES[task], or of each invariant suite
-    when task is len(ROUTES), timed where it runs.  A task reads the shared
-    g and gbar tables and nothing another task computed."""
+    when task is len(ROUTES), timed where it runs.  A route task reads the
+    shared g or gbar table in place and nothing another task computed."""
     started = time.perf_counter()
     if task < len(ROUTES):
         route = ROUTES[task]
-        expect = (g_values if route.func == "g" else gbar_values)(max_n + 1)
-        suites = [(route.name, *compare(route, expect, max_n))]
+        table = _G if route.func == "g" else _GBAR
+        table.ensure(max_n)
+        suites = [(route.name, *compare(route, table._values, max_n))]
     else:
         suites = _invariant_suites(max_n)  # a generator: each suite runs on next()
     timed = []
@@ -112,13 +113,21 @@ def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str, float]]:
     return timed
 
 
+def _send(writer, task: int, max_n: int) -> None:
+    """A forked child's body: send _check_task's suites, or what it raised."""
+    try:
+        writer.send(_check_task(task, max_n))
+    except Exception as exc:  # the parent raises it
+        writer.send(exc)
+
+
 def check(max_n: int, keys: set[str]) -> tuple[float, list[tuple[str, bool, str, float]]]:
     """Fill the shared g and gbar tables to max_n, then run the suite of
     each route whose key is in keys and the invariant suites.  Returns
     (fill seconds, [(name, ok, detail, seconds), ...]) in registry order.
-    From _PARALLEL_MIN up, forked workers inherit ROUTES and the filled
-    tables and run one task each; below it, or with one CPU or no fork,
-    the tasks run here in turn."""
+    From _PARALLEL_MIN up, each task runs in a fresh forked child, at most
+    one per CPU at a time, that reads the filled tables in place; below it,
+    or with one CPU or no fork, the tasks run here in turn."""
     started = time.perf_counter()
     g(max_n)
     gbar(max_n)
@@ -127,29 +136,36 @@ def check(max_n: int, keys: set[str]) -> tuple[float, list[tuple[str, bool, str,
     tasks.append(len(ROUTES))
     workers = min(len(tasks), _cpus())
     if max_n >= _PARALLEL_MIN and workers > 1:
-        import multiprocessing
+        import multiprocessing.connection
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-            from concurrent.futures.process import BrokenProcessPool
-            sys.stdout.flush()  # a worker flushes what it inherits on exit
-            others = set(multiprocessing.active_children())
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            futures = [pool.submit(_check_task, task, max_n) for task in tasks]
+            fork = multiprocessing.get_context("fork")
+            sys.stdout.flush()  # a child flushes what it inherits on exit
+            queue, running, done = list(tasks), {}, {}  # running: reader: (task, child)
             try:
-                for future in as_completed(futures):
-                    future.result()  # the first error raises here
-            except BaseException as exc:
-                # stop the pool's workers: shutdown would wait for the
-                # suites they are still running
-                for child in set(multiprocessing.active_children()) - others:
+                while queue or running:
+                    while queue and len(running) < workers:
+                        reader, writer = fork.Pipe(duplex=False)
+                        child = fork.Process(target=_send, args=(writer, queue[0], max_n))
+                        child.start()
+                        writer.close()  # so a child that dies leaves EOF here
+                        running[reader] = queue.pop(0), child
+                    for reader in multiprocessing.connection.wait(list(running)):
+                        task, child = running[reader]
+                        try:
+                            done[task] = reader.recv()
+                        except EOFError:  # the child exited before it sent
+                            raise HofgError("a check worker died: it sent no suites")
+                        if isinstance(done[task], Exception):
+                            raise done[task]
+                        del running[reader]
+                        reader.close()
+                        child.join()
+            finally:  # stop and reap the children still running, and only those
+                for reader, (_, child) in running.items():
                     child.terminate()
-                pool.shutdown(cancel_futures=True)
-                if isinstance(exc, BrokenProcessPool):
-                    raise HofgError(f"a check worker died: {exc}") from None
-                raise
-            pool.shutdown()
-            return filled, [suite for future in futures for suite in future.result()]
+                    child.join()
+                    reader.close()
+            return filled, [suite for task in tasks for suite in done[task]]
     return filled, [suite for task in tasks for suite in _check_task(task, max_n)]
 
 

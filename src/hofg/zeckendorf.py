@@ -38,14 +38,14 @@ class Decomposition(_Form):
 
     def __new__(cls, ranks: tuple[int, ...], gap: int = 2) -> Decomposition:
         if gap not in (1, 2):
-            raise DomainError(f"gap must be 1 or 2, got {gap}")
+            raise DomainError(f"Decomposition: gap must be 1 or 2, got {gap}")
         prev = None
         for k in ranks:
             if k < 2 or k > RANK_MAX:
-                raise DomainError(f"rank {k} outside [2, {RANK_MAX}]")
+                raise DomainError(f"Decomposition: rank {k} outside [2, {RANK_MAX}]")
             if prev is not None and k - prev < gap:
                 raise DomainError(
-                    f"ranks {prev},{k} violate the minimum gap {gap}")
+                    f"Decomposition: ranks {prev},{k} violate the minimum gap {gap}")
             prev = k
         return tuple.__new__(cls, (ranks, gap))
 

@@ -7,6 +7,7 @@ and otherwise runs the `[project.scripts]` target from pyproject.toml the
 way a console-script wrapper does.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -449,6 +450,40 @@ def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch
     finally:
         bystander.terminate()
         bystander.join()
+
+
+@needs_fork
+def test_check_parallel_leaves_no_child_and_no_open_pipe(capsys, monkeypatch):
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
+    fds = Path("/proc/self/fd")  # Linux: one entry per open descriptor
+    gc.collect()  # close what earlier tests left for the collector
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("SUMMARY: 12/12 suites passed in ")
+    assert multiprocessing.active_children() == []
+    if before is not None:
+        assert len(list(fds.iterdir())) == before
+
+
+@needs_fork
+def test_check_runs_each_route_in_a_child_of_its_own(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
+
+    def logged(route):
+        """route's own values, after writing the pid that computes them."""
+        def values(top):
+            (tmp_path / f"{route.func}-{route.key}").write_text(str(os.getpid()))
+            return route.values(top)
+        return values
+
+    monkeypatch.setattr(portfolio, "ROUTES", tuple(
+        r._replace(values=logged(r)) for r in ROUTES))
+    code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
+    assert code == 0, out
+    pids = {int(path.read_text()) for path in tmp_path.iterdir()}
+    assert len(list(tmp_path.iterdir())) == len(pids) == len(ROUTES) == 7
+    assert os.getpid() not in pids
 
 
 @needs_fork

@@ -111,7 +111,7 @@ def test_verify_offset():
     shifted = records((1, 0), (2, 1), (3, 1))
     assert verify(shifted, "g", offset=-1).ok
     assert not verify(shifted, "g").ok
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^verify: offset -2 sends index 1 below 0$"):
         verify(shifted, "g", offset=-2)
 
 

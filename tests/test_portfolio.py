@@ -1,10 +1,11 @@
 """The route registry: each route stays independent of its own function's
-defining table, and no route builds a table of its own."""
+defining table, no route builds a table of its own, and a check task
+compares with the shared table without copying it."""
 
 import pytest
 
 from hofg import MemoTable, flip_gbar, g_func
-from hofg.portfolio import ROUTES
+from hofg.portfolio import ROUTES, _check_task
 
 
 def ids(route):
@@ -48,3 +49,15 @@ def test_word_routes_match_the_defining_table(func):
     for top in range(3000):  # each word length, and each length between
         assert list(route.values(top)) == expect[:top + 1], top
     assert list(route.values(10**6)) == table.prefix(10**6 + 1)
+
+
+def test_route_tasks_compare_against_the_shared_tables_in_place(monkeypatch):
+    # a route task reads the filled g or gbar table as it stands: a copy of
+    # its prefix would cost each forked check child 8 MB at --max 10^6
+    def no_copy(self, count):
+        raise AssertionError(f"a route task copied {count} entries of {self.which}")
+
+    monkeypatch.setattr(MemoTable, "prefix", no_copy)
+    for task, route in enumerate(ROUTES):
+        [(name, ok, detail, _)] = _check_task(task, 2000)
+        assert (name, ok, detail) == (route.name, True, "n=0..2000")

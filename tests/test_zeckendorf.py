@@ -298,11 +298,11 @@ def test_relaxed_three_odd_start_still_classifies_three_odd():
 
 def test_decomposition_validation():
     # the first two run under the default gap, 2
-    for args, text in ((((1, 3),), "rank 1 outside [2, 91]"),
-                       (((2, 3),), "ranks 2,3 violate the minimum gap 2"),
-                       (((2, 2), 1), "ranks 2,2 violate the minimum gap 1"),
-                       (((2, 95), 1), "rank 95 outside [2, 91]"),
-                       (((2, 4), 3), "gap must be 1 or 2, got 3")):
+    for args, text in ((((1, 3),), "Decomposition: rank 1 outside [2, 91]"),
+                       (((2, 3),), "Decomposition: ranks 2,3 violate the minimum gap 2"),
+                       (((2, 2), 1), "Decomposition: ranks 2,2 violate the minimum gap 1"),
+                       (((2, 95), 1), "Decomposition: rank 95 outside [2, 91]"),
+                       (((2, 4), 3), "Decomposition: gap must be 1 or 2, got 3")):
         with pytest.raises(DomainError) as info:
             Decomposition(*args)
         assert str(info.value) == text
