@@ -77,7 +77,7 @@ class MemoTable:
         try:
             seeds = _SEEDS[(which, rule)]
         except KeyError:
-            raise DomainError(f"no table flavor ({which!r}, {rule!r})") from None
+            raise DomainError(f"MemoTable: no table flavor ({which!r}, {rule!r})") from None
         self.which = which
         self.rule = rule
         self._values: list[int] = list(seeds)
@@ -104,7 +104,7 @@ class MemoTable:
     def prefix(self, count: int) -> list[int]:
         """First count values as a fresh list (bulk-read API)."""
         if count < 0:
-            raise DomainError(f"prefix count must be >= 0, got {count}")
+            raise DomainError(f"{self.which}: prefix count must be >= 0, got {count}")
         if count:
             self.ensure(count - 1)
         return self._values[:count]

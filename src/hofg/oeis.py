@@ -111,7 +111,7 @@ def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyRepo
     records is vacuously ok.
     """
     if func not in ("g", "gbar"):
-        raise DomainError(f"func must be 'g' or 'gbar', got {func!r}")
+        raise DomainError(f"verify: func must be 'g' or 'gbar', got {func!r}")
     fn = g if func == "g" else gbar
     if records and records[0].index + offset < 0:
         raise DomainError(
@@ -135,6 +135,8 @@ def resolve_offset(records: list[BFileRecord], func: str) -> int:
     Returns the first of _OFFSETS (in order) that matches; raises
     DomainError when none does.
     """
+    if func not in ("g", "gbar"):
+        raise DomainError(f"resolve_offset: func must be 'g' or 'gbar', got {func!r}")
     head = records[:_PROBE]
     if not head:
         raise DomainError("resolve_offset: no records to probe")

@@ -80,6 +80,19 @@ _THREE_BARE, _HIGH_EVEN, _HIGH_ODD = (RankClass.THREE_BARE, RankClass.HIGH_EVEN,
                                       RankClass.HIGH_ODD)
 
 
+def _build_low_ranks() -> tuple[tuple[int, ...], ...]:
+    # the walk's own greedy step: r in [F(k), F(k+1)) is F(k) on top of the
+    # entry for r - F(k) < F(k-1), built already; ranks highest first
+    table: list[tuple[int, ...]] = [()]
+    for k in range(2, 18):
+        table += [(k,) + rest for rest in table[:_FIB[k - 1]]]
+    return tuple(table)
+
+
+_LOW_RANKS = _build_low_ranks()  # the canonical ranks of each r < F(18)
+_LOW_LIMIT = len(_LOW_RANKS)
+
+
 def _greedy_ranks(n: int, name: str) -> list[int]:
     """Canonical ranks of n, ascending: the one greedy walk.
 
@@ -87,19 +100,22 @@ def _greedy_ranks(n: int, name: str) -> list[int]:
     gbar_via_complement) reads this list, passing its name for the errors;
     none walks the ranks itself.  Each term is fib_inv's lookup, inlined
     because a call per term costs more than the lookup: the top rank for
-    the remainder's bit length, stepped down at most twice.
+    the remainder's bit length, stepped down at most twice.  Once the
+    remainder is below F(18) the walk hands over to _LOW_RANKS, because
+    over a sweep most terms lie below rank 18 (4.5 of 7.9 up to 10^6).
     """
     if not 0 <= n < _INV_LIMIT:
         if n < 0:
             raise DomainError(f"{name}: n must be >= 0, got {n}")
         raise RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     ranks: list[int] = []
-    while n:
+    while n >= _LOW_LIMIT:
         k = _TOP_RANK[n.bit_length()]
         while _FIB[k] > n:
             k -= 1
         ranks.append(k)
         n -= _FIB[k]
+    ranks += _LOW_RANKS[n]
     ranks.reverse()
     return ranks
 

@@ -206,10 +206,12 @@ def test_memo_table_contracts():
     vals = t.prefix(501)
     assert len(vals) == 501
     assert all(b - a in (0, 1) for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^g: n must be >= 0, got -1$"):
         t.value(-1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^g: prefix count must be >= 0, got -1$"):
         t.prefix(-1)
+    with pytest.raises(DomainError, match="^gbar: prefix count must be >= 0, got -1$"):
+        MemoTable("gbar").prefix(-1)
     assert t.prefix(0) == []
 
 
@@ -236,9 +238,11 @@ def test_value_reads_a_filled_entry_without_ensure(monkeypatch):
 
 
 def test_memo_table_flavors():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^MemoTable: no table flavor \('g', 'magic'\)$"):
         MemoTable("g", rule="magic")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^MemoTable: no table flavor \('h', 'defining'\)$"):
         MemoTable("h")
     fresh = MemoTable("g")
     assert fresh.prefix(100) == g_values(100)

@@ -116,7 +116,7 @@ def test_verify_offset():
 
 
 def test_verify_rejects_unknown_func():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^verify: func must be 'g' or 'gbar', got 'both'$"):
         verify(records((0, 0)), "both")
 
 
@@ -167,13 +167,16 @@ def test_resolve_offset_shifted():
 
 
 def test_resolve_offset_failure_modes():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^resolve_offset: no records to probe$"):
         resolve_offset([], "g")
     junk = [BFileRecord(n, 99) for n in range(10)]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^resolve_offset: no candidate offset matches g$"):
         resolve_offset(junk, "g")
-    with pytest.raises(DomainError, match="func must be 'g' or 'gbar'"):
-        resolve_offset(records((0, 0)), "both")
+    # the func is checked before any probe, so an empty list names it too
+    for rs in (records((0, 0)), []):
+        with pytest.raises(DomainError,
+                           match=r"^resolve_offset: func must be 'g' or 'gbar', got 'both'$"):
+            resolve_offset(rs, "both")
 
 
 # --- vendored fixtures ---

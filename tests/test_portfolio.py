@@ -2,6 +2,8 @@
 defining table, no route builds a table of its own, and a check task
 compares with the shared table without copying it."""
 
+import sys
+
 import pytest
 
 from hofg import MemoTable, flip_gbar, g_func
@@ -39,6 +41,37 @@ def test_no_route_builds_a_memo_table(monkeypatch, route):
     for _ in route.values(2000):
         pass
     assert built == []
+
+
+def test_no_route_reaches_its_own_functions_fill(monkeypatch):
+    # the route census: with both shared tables filled to 3000, a profiler
+    # records whose MemoTable._fill each route's sweep reaches.  A route may
+    # grow the other function's table (flip reads g past n), never its own.
+    fill = MemoTable._fill.__code__
+    reached = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is fill:
+            reached.append(frame.f_locals["self"].which)
+
+    for module, name, which in ((g_func, "_G", "g"), (flip_gbar, "_GBAR", "gbar")):
+        table = MemoTable(which)
+        table.ensure(3000)
+        monkeypatch.setattr(module, name, table)
+    census = {}
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        MemoTable("gbar").ensure(10)  # the profiler sees a fill
+        assert reached == ["gbar"]
+        for route in ROUTES:
+            reached.clear()
+            for _ in route.values(3000):
+                pass
+            census[ids(route)] = set(reached)
+    finally:
+        sys.setprofile(previous)
+    assert all(route.func not in census[ids(route)] for route in ROUTES), census
 
 
 @pytest.mark.parametrize("func", ["g", "gbar"])

@@ -40,7 +40,7 @@ from hofg import (
 )
 from hofg.errors import DomainError, HofgError, RankOverflow
 from hofg.fibonacci import _INV_LIMIT
-from hofg.zeckendorf import _greedy_ranks
+from hofg.zeckendorf import _LOW_RANKS, _greedy_ranks
 
 
 def run_python(code):
@@ -530,6 +530,18 @@ def test_greedy_walk_domain_edges():
     for n in (_INV_LIMIT, 2**63 - 1):
         with pytest.raises(RankOverflow, match=f"^low: n = {n} "):
             _greedy_ranks(n, "low")
+
+
+def test_greedy_walk_hands_out_fresh_lists():
+    # the walk finishes from a fixed table below F(18): a caller that mutates
+    # its list must not change what the next caller reads
+    assert isinstance(_LOW_RANKS, tuple)
+    assert all(isinstance(entry, tuple) for entry in _LOW_RANKS)
+    for n in (7, 2583, 10**6, _F[90]):
+        mine = _greedy_ranks(n, "decompose")
+        mine.append(99)
+        mine[0] = -1
+        assert _greedy_ranks(n, "decompose") == _ranks_oracle(n), n
 
 
 def test_greedy_walk_rejects_negatives_without_looping():
