@@ -2,7 +2,7 @@
 
 ROUTES lists every independent route to g and gbar once; check() compares
 each selected route with the defining-equation table of its function and
-runs five invariant spot checks, so a route added here is checked.  The
+runs six invariant spot checks, so a route added here is checked.  The
 two `word` routes sum the step bits g(n+1) - g(n), which form the
 Fibonacci word, and its mirror for gbar: they build byte strings and no
 table.
@@ -20,7 +20,7 @@ from .errors import HofgError
 from .flip_gbar import (_GBAR, gbar, gbar_values, gbar_via_complement,
                         gbar_via_flip, gbar_via_g_correction)
 from .g_func import _G, g, g_values, g_via_decomposition, g_via_phi
-from .zeckendorf import _THREE_ODD, classify, low
+from .zeckendorf import _THREE_ODD, classify, decompose, low, sum_of
 
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
@@ -174,7 +174,7 @@ def _span(lo: int, hi: int) -> str:
 
 
 def _invariant_suites(max_n: int):
-    """Yield (name, ok, detail) for the five invariant spot checks."""
+    """Yield (name, ok, detail) for the six invariant spot checks."""
     cap = min(max_n, _SPOT_CAP)
     gg = g_values(cap + g(cap) + 2)
     ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
@@ -202,3 +202,7 @@ def _invariant_suites(max_n: int):
     ok = all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
              else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
     yield ("invariant: successor rank transitions", ok, _span(1, cap))
+
+    # Decomposition rejects a gap below 2, so a walk's relaxed form raises
+    ok = all(sum_of(decompose(n)) == n for n in range(cap + 1))
+    yield ("invariant: Zeckendorf round trip", ok, _span(0, cap))

@@ -45,7 +45,7 @@ class TreeSlice(NamedTuple):
     def level(self, k: int) -> range:
         """Labels at depth k (as a range; level 0 is just the root)."""
         if k < 0 or k > self.max_depth:
-            raise DomainError(f"level {k} outside [0, {self.max_depth}]")
+            raise DomainError(f"TreeSlice.level: k = {k} outside [0, {self.max_depth}]")
         if k == 0:
             return range(1, 2)
         return range(fib(k + 1) + 1, fib(k + 2) + 1)

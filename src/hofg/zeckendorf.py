@@ -91,14 +91,14 @@ def _build_low_ranks() -> tuple[tuple[int, ...], ...]:
 
 _LOW_RANKS = _build_low_ranks()  # the canonical ranks of each r < F(18)
 _LOW_LIMIT = len(_LOW_RANKS)
-_memo = (0, _LOW_LIMIT, [])  # (H, top, high) of the last walk; see _greedy_ranks
+_memo = (0, _LOW_LIMIT, ())  # (H, top, high) of the last walk; see _greedy_ranks
 
 
-def _greedy_ranks(n: int, name: str) -> list[int]:
+def _greedy_ranks(n: int, name: str) -> tuple[int, ...]:
     """Canonical ranks of n, ascending: the one greedy walk.
 
     Every rank route (decompose, low, classify, g_via_decomposition,
-    gbar_via_complement) reads this list, passing its name for the errors;
+    gbar_via_complement) reads this tuple, passing its name for the errors;
     none walks the ranks itself.  Each term is fib_inv's lookup, inlined
     because a call per term costs more than the lookup: the top rank for
     the remainder's bit length, stepped down at most twice.  Once the
@@ -108,9 +108,9 @@ def _greedy_ranks(n: int, name: str) -> list[int]:
     The last walk's peeled ranks (high, lowest h, sum H) stay in _memo with
     top = H + min(F(18), F(h-1)): for n in [H, top), n - H has ranks at
     most h - 2, so by uniqueness n's form is those ranks plus high.  A hit
-    reuses greedy output, no second rule like a sweep increment; _memo is
-    one tuple replaced whole and no published list is mutated, so threads
-    and forked children always read a consistent memo.
+    reuses greedy output, no second rule like a sweep increment.  Forms go
+    out as immutable tuples, a hit's sharing high; _memo is one tuple
+    replaced whole, so threads and forked children read a consistent memo.
     """
     global _memo
     if not 0 <= n < _INV_LIMIT:
@@ -119,18 +119,18 @@ def _greedy_ranks(n: int, name: str) -> list[int]:
         raise RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     H, top, high = _memo
     if H <= n < top:
-        return [*_LOW_RANKS[n - H], *high]
-    r, k, high = n, 0, []
+        return _LOW_RANKS[n - H] + high
+    r, k, peeled = n, 0, []
     while r >= _LOW_LIMIT:
         k = _TOP_RANK[r.bit_length()]
         while _FIB[k] > r:
             k -= 1
-        high.append(k)
+        peeled.append(k)
         r -= _FIB[k]
-    high.reverse()
+    high = tuple(reversed(peeled))
     H = n - r  # k is h, the last rank peeled, or 0: F(h-1) < F(18) only for h = 18
     _memo = (H, H + (_FIB[17] if k == 18 else _LOW_LIMIT), high)
-    return [*_LOW_RANKS[r], *high]
+    return _LOW_RANKS[r] + high
 
 
 def decompose(n: int) -> Decomposition:
@@ -140,7 +140,7 @@ def decompose(n: int) -> Decomposition:
     remainder) is what forces gaps >= 2: after removing F(k) the remainder is
     below F(k-1), so rank k-1 can never follow rank k.
     """
-    return Decomposition(tuple(_greedy_ranks(n, "decompose")))
+    return Decomposition(_greedy_ranks(n, "decompose"))
 
 
 def sum_of(d: Decomposition) -> int:

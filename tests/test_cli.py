@@ -24,6 +24,7 @@ import pytest
 import hofg
 import hofg.cli as cli
 import hofg.portfolio as portfolio
+import hofg.zeckendorf as zeckendorf
 from hofg import errors, g_values, gbar_values, parse_bfile
 from hofg.cli import run
 from hofg.errors import DomainError, HofgError
@@ -183,7 +184,7 @@ def test_tree_dot(capsys):
 def test_check_small(capsys):
     code, out, _ = invoke(capsys, "check", "--max", "2000")
     assert code == 0
-    assert re.fullmatch(r"SUMMARY: 12/12 suites passed in \d+\.\d s "
+    assert re.fullmatch(r"SUMMARY: 13/13 suites passed in \d+\.\d s "
                         r"\(g and gbar tables filled in \d+\.\d\d s\)",
                         out.splitlines()[-1])
     assert "FAIL" not in out
@@ -193,7 +194,7 @@ def test_check_algorithm_subset(capsys):
     code, out, _ = invoke(capsys, "check", "--max", "2000",
                           "--algorithms", "phi,word")
     assert code == 0
-    assert "SUMMARY: 8/8 suites passed" in out
+    assert "SUMMARY: 9/9 suites passed" in out
     assert "decomposition" not in out
 
 
@@ -233,7 +234,7 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
     assert "first mismatch at n=1: 0 != 1" in out
-    assert "SUMMARY: 11/12 suites passed" in out
+    assert "SUMMARY: 12/13 suites passed" in out
     # a word route reports through the same comparison: gbar's word leaves
     # g's at the first three-odd number, gbar(7) = 5 != 4 = g(7)
     sabotage(monkeypatch, "g", "word", route("gbar", "word").values)
@@ -242,7 +243,7 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert "FAIL  g: defining = word" in out
     assert "first mismatch at n=7: 5 != 4" in out
     assert "PASS  g: defining = phi floor" in out
-    assert "SUMMARY: 11/12 suites passed" in out
+    assert "SUMMARY: 12/13 suites passed" in out
 
 
 PARALLEL_MAX = str(portfolio._PARALLEL_MIN)  # the smallest --max run by workers
@@ -263,7 +264,7 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
         assert re.search(suite_line("FAIL", "g: defining = phi floor",
                                     f"route yielded {got} values, expected {top + 1}") + "$",
                          out, re.M)
-        assert "SUMMARY: 11/12 suites passed" in out
+        assert "SUMMARY: 12/13 suites passed" in out
     # too many: a correct sweep with one value past max_n
     word = route("gbar", "word").values
     sabotage(monkeypatch, "gbar", "word", lambda top: word(top + 1))
@@ -272,7 +273,7 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
     assert re.search(suite_line("FAIL", "gbar: defining = word",
                                 f"route yielded more than {top + 1} values") + "$",
                      out, re.M)
-    assert "SUMMARY: 11/12 suites passed" in out
+    assert "SUMMARY: 12/13 suites passed" in out
 
 
 INVARIANTS = (
@@ -281,6 +282,7 @@ INVARIANTS = (
     "invariant: gbar alternative equation",
     "invariant: comparison and three-odd spacing",
     "invariant: successor rank transitions",
+    "invariant: Zeckendorf round trip",
 )
 
 
@@ -349,9 +351,22 @@ def test_check_reports_failing_invariants(capsys, monkeypatch, swaps, max_n, fai
     assert failing_invariants(out) == failing
 
 
+def test_check_fails_a_walk_that_hands_out_a_relaxed_form(capsys, monkeypatch):
+    # F(17) + F(18) + F(20) = F(21), summed right but with a gap of 1: every
+    # rank-sum route agrees on its value, and only the round trip's
+    # Decomposition rejects it
+    walk = zeckendorf._greedy_ranks
+    monkeypatch.setattr(zeckendorf, "_greedy_ranks", lambda n, name: (
+        (17, 18, 20) if n == 10946 else walk(n, name)))
+    code, out, err = invoke(capsys, "check", "--max", "20000")
+    assert (code, out) == (1, "")
+    assert err == "error: Decomposition: ranks 17,18 violate the minimum gap 2\n"
+
+
 @pytest.mark.parametrize("max_n, details", [
-    ("0", ["n=0..0", "n=0..0", "no n in 4..0", "no n in 1..0", "no n in 1..0"]),
-    ("3", ["n=0..3", "n=0..3", "no n in 4..3", "n=1..3", "n=1..3"]),
+    ("0", ["n=0..0", "n=0..0", "no n in 4..0", "no n in 1..0", "no n in 1..0",
+           "n=0..0"]),
+    ("3", ["n=0..3", "n=0..3", "no n in 4..3", "n=1..3", "n=1..3", "n=0..3"]),
 ])
 def test_check_says_when_a_range_holds_no_n(capsys, max_n, details):
     code, out, _ = invoke(capsys, "check", "--max", max_n)
@@ -374,7 +389,7 @@ def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
     seconds = {line[6:51].rstrip(): float(line[51:].split()[0])
                for line in out.splitlines()[:-1]}
     assert seconds.pop("gbar: defining = flip conjugation") >= 0.5
-    assert len(seconds) == 11
+    assert len(seconds) == 12
     assert max(seconds.values()) < 0.5
 
 
@@ -393,7 +408,7 @@ def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
     serial = invoke(capsys, "check", "--max", PARALLEL_MAX)
     for code, out, err in (parallel, serial):
         assert (code, err) == (0, "")
-        assert out.splitlines()[-1].startswith("SUMMARY: 12/12 suites passed in ")
+        assert out.splitlines()[-1].startswith("SUMMARY: 13/13 suites passed in ")
     # the same lines but for the seconds each run measured
     masked = [[re.sub(SECONDS, " <s>  ", line, count=1) for line in out.splitlines()[:-1]]
               for _, out, _ in (parallel, serial)]
@@ -408,7 +423,7 @@ def test_check_parallel_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
     assert "first mismatch at n=1: 0 != 1" in out
-    assert "SUMMARY: 11/12 suites passed" in out
+    assert "SUMMARY: 12/13 suites passed" in out
 
 
 @needs_fork
@@ -418,7 +433,7 @@ def test_check_parallel_reports_failing_invariants(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert code == 1
     assert failing_invariants(out) == ["invariant: successor rank transitions"]
-    assert "SUMMARY: 11/12 suites passed" in out
+    assert "SUMMARY: 12/13 suites passed" in out
 
 
 @needs_fork
@@ -460,7 +475,7 @@ def test_check_parallel_leaves_no_child_and_no_open_pipe(capsys, monkeypatch):
     before = len(list(fds.iterdir())) if fds.is_dir() else None
     code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert (code, err) == (0, "")
-    assert out.splitlines()[-1].startswith("SUMMARY: 12/12 suites passed in ")
+    assert out.splitlines()[-1].startswith("SUMMARY: 13/13 suites passed in ")
     assert multiprocessing.active_children() == []
     if before is not None:
         assert len(list(fds.iterdir())) == before
@@ -577,7 +592,7 @@ def test_check_routes_come_from_the_registry(capsys):
         assert len(lines) > len(names)
         for line, name in zip(lines, names):
             assert re.fullmatch(suite_line("PASS", name, "n=0..30"), line)
-        total = len(names) + 5  # plus the invariant suites
+        total = len(names) + 6  # plus the invariant suites
         assert lines[-1].startswith(f"SUMMARY: {total}/{total} suites passed")
 
 

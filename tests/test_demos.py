@@ -28,8 +28,14 @@ EXPECT = {
 }
 
 
+# each demo runs under this run's -X dev and -W options, so that a warning
+# that fails a test under `-X dev -W error` fails a demo too
+FLAGS = [*(["-X", "dev"] if sys.flags.dev_mode else []),
+         *(f"-W{option}" for option in sys.warnoptions)]
+
+
 def run_demo(name, *args):
-    return subprocess.run([sys.executable, str(DEMOS / name), *args],
+    return subprocess.run([sys.executable, *FLAGS, str(DEMOS / name), *args],
                           capture_output=True, text=True, timeout=120)
 
 

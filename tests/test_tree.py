@@ -81,10 +81,10 @@ def test_level_ranges():
         assert lv.start == 1 + fib(k + 1)
         assert lv.stop == fib(k + 2) + 1
         assert len(lv) == fib(k)
-    with pytest.raises(DomainError):
-        t.level(13)
-    with pytest.raises(DomainError):
-        t.level(-1)
+    for k in (13, -1):
+        with pytest.raises(DomainError) as caught:
+            t.level(k)
+        assert str(caught.value) == f"TreeSlice.level: k = {k} outside [0, 12]"
 
 
 def test_parents_live_one_level_up():

@@ -195,9 +195,9 @@ def test_classify_returns_the_member_itself(n, member):
     # classify returns names bound once at import; identity, not equality,
     # catches a bound name that points at the wrong member
     assert classify(n) is RankClass[member]
-    assert list(decompose(n).ranks)[:2] == {
-        "TWO": [2], "THREE_ODD": [3, 5], "THREE_EVEN": [3, 6],
-        "THREE_BARE": [3], "HIGH_EVEN": [4], "HIGH_ODD": [5]}[member]
+    assert decompose(n).ranks[:2] == {
+        "TWO": (2,), "THREE_ODD": (3, 5), "THREE_EVEN": (3, 6),
+        "THREE_BARE": (3,), "HIGH_EVEN": (4,), "HIGH_ODD": (5,)}[member]
 
 
 def test_classify_domain():
@@ -233,7 +233,7 @@ def test_next_three_odd_from_far_below_zero():
 
 def test_next_three_odd_past_the_value_range():
     # F(91) + 1 = F(2) + F(91) is Two, the next number F(3) + F(91) three-odd
-    assert _ranks_oracle(fib(91) + 2) == [3, 91]
+    assert _ranks_oracle(fib(91) + 2) == (3, 91)
     assert next_three_odd(fib(91)) == fib(91) + 2 == 4660046610375530311
     # F(92) - 1 is itself three-odd, so the first step leaves the range
     top = fib(91) + fib(90) - 1
@@ -355,7 +355,7 @@ def _ranks_oracle(n):
         k = bisect_left(_F, n + 1) - 1
         ranks.append(k)
         n -= _F[k]
-    return ranks[::-1]
+    return tuple(ranks[::-1])
 
 
 def _g_oracle(n):
@@ -408,7 +408,7 @@ def _log_uniform_points(rng, edge, count):
 def test_rank_route_domain_edges():
     last = _INV_EDGE - 1
     assert low(last) == _ranks_oracle(last)[0]
-    assert list(decompose(last).ranks) == _ranks_oracle(last)
+    assert decompose(last).ranks == _ranks_oracle(last)
     assert classify(last) is THREE_ODD  # F(3) + F(5) + ... + F(91)
     assert g_via_decomposition(last) == _g_oracle(last)
     for route in (low, classify, decompose, g_via_decomposition):
@@ -443,7 +443,7 @@ def _overflow(name):
 # or the public function it hands n to, at the n it was given.
 EDGES = [
     (fib_inv, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[-1], _overflow("fib_inv")),
-    (decompose, _INV_EDGE - 1, lambda n: Decomposition(tuple(_ranks_oracle(n))),
+    (decompose, _INV_EDGE - 1, lambda n: Decomposition(_ranks_oracle(n)),
      _overflow("decompose")),
     (low, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[0], _overflow("low")),
     (classify, _INV_EDGE - 1, _class_oracle, _overflow("classify")),
@@ -481,7 +481,7 @@ def test_complement_route_with_and_without_a_rank_two_term():
     with_two = [4, 12, 30, 33, 88, _F[60] - 1, _F[91] - 1, _F[91] - 4]
     without = [5, 11, 31, 87, _F[60] - 2, _F[91] - 2, _F[91]]
     for n in with_two:
-        assert _ranks_oracle(complement(n))[:1] == [2], n
+        assert _ranks_oracle(complement(n))[:1] == (2,), n
     for n in without:
         assert 2 not in _ranks_oracle(complement(n)), n
     for n in with_two + without:
@@ -499,7 +499,7 @@ def test_rank_routes_at_random_points_across_the_domain():
     rng = random.Random(20260)
     for n in _log_uniform_points(rng, _INV_EDGE, 2000):
         ranks = _ranks_oracle(n)
-        assert list(decompose(n).ranks) == ranks, n
+        assert decompose(n).ranks == ranks, n
         assert low(n) == ranks[0], n
         assert g_via_decomposition(n) == _g_oracle(n), n
     for n in _log_uniform_points(rng, _COMPLEMENT_EDGE, 2000):
@@ -534,25 +534,27 @@ def test_greedy_walk_domain_edges():
             _greedy_ranks(n, "low")
 
 
-def test_greedy_walk_hands_out_fresh_lists():
-    # the walk finishes from a fixed table below F(18): a caller that mutates
-    # its list must not change what the next caller reads
+def test_greedy_walk_hands_out_tuples():
+    # the walk finishes from a fixed table below F(18), and a hit joins an
+    # entry of it to the memo's high ranks: every form is an immutable
+    # tuple, so no caller can change what the next caller reads
     assert isinstance(_LOW_RANKS, tuple)
     assert all(isinstance(entry, tuple) for entry in _LOW_RANKS)
     for n in (7, 2583, 10**6, _F[90]):
-        mine = _greedy_ranks(n, "decompose")
-        mine.append(99)
-        mine[0] = -1
-        assert _greedy_ranks(n, "decompose") == _ranks_oracle(n), n
-    # the same from the memo of the last walk: 10**6 and 10**6 + 1 share the
-    # high ranks of 10**6 (30, 26, 24), and 999801 is those ranks alone
+        _greedy_ranks(_F[60], "low")  # another walk's memo, so n misses
+        before = zeckendorf._memo
+        missed = _greedy_ranks(n, "decompose")
+        memo = zeckendorf._memo
+        assert memo is not before and type(memo[2]) is tuple, n
+        hit = _greedy_ranks(n, "decompose")
+        assert zeckendorf._memo is memo, n
+        for ranks in (missed, hit):
+            assert type(ranks) is tuple and ranks == _ranks_oracle(n), n
+    # 10**6 and 10**6 + 1 share the high ranks of 10**6 (30, 26, 24), and
+    # 999801 is those ranks alone
     for n in (10**6, 999_801, _F[90]):
         _greedy_ranks(n, "decompose")
         memo = zeckendorf._memo
-        mine = _greedy_ranks(n, "decompose")
-        mine.append(99)
-        mine[-2] = -1
-        mine.insert(0, 1)
         for m in (n, n + 1):
             assert _greedy_ranks(m, "decompose") == _ranks_oracle(m), m
             assert zeckendorf._memo is memo, m  # a hit, not a fresh walk
