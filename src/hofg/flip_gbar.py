@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import DomainError, RankOverflow
 from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, fib_inv
-from .g_func import Arity, MemoTable, g, g_arity
+from .g_func import Arity, MemoTable, _in_table, g, g_arity
 from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
 _GBAR = MemoTable("gbar")
@@ -72,7 +72,7 @@ def gbar_via_flip(n: int) -> int:
     """gbar(n) = flip(g(flip(n))): the mirror function by conjugation."""
     if n < 0:
         raise DomainError(f"gbar_via_flip: n must be >= 0, got {n}")
-    return flip(g(flip(n)))
+    return flip(g(_in_table("gbar_via_flip", n, flip(n))))
 
 
 def gbar_via_g_correction(n: int) -> int:
@@ -121,7 +121,7 @@ def gbar_rightmost_child(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"gbar_rightmost_child: n must be >= 2, got {n}")
-    return n - 1 + gbar(n + 1)
+    return n - 1 + gbar(_in_table("gbar_rightmost_child", n, n + 1))
 
 
 def gbar_leftmost_child(n: int) -> int:
@@ -133,7 +133,7 @@ def gbar_leftmost_child(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"gbar_leftmost_child: n must be >= 2, got {n}")
-    f = flip(n)
+    f = _in_table("gbar_leftmost_child", n, flip(n))
     return flip(f + g(f))
 
 

@@ -144,6 +144,14 @@ class MemoTable:
 _G = MemoTable("g")
 
 
+def _in_table(name: str, n: int, index: int) -> int:
+    """index, the table entry name reads for n, if a table can hold it."""
+    if index >= TABLE_MAX:
+        raise DomainError(f"{name}: n = {n} needs a table of more than "
+                          f"TABLE_MAX = {TABLE_MAX} entries")
+    return index
+
+
 def g(n: int, table: MemoTable | None = None) -> int:
     """g(n) via the defining equation and the shared memo table.
 

@@ -14,13 +14,15 @@ import os
 import sys
 import time
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import HofgError
-from .flip_gbar import (_GBAR, gbar, gbar_values, gbar_via_complement,
+from .fibonacci import _FIB, fib_inv
+from .flip_gbar import (_GBAR, flip, gbar, gbar_values, gbar_via_complement,
                         gbar_via_flip, gbar_via_g_correction)
 from .g_func import _G, g, g_values, g_via_decomposition, g_via_phi
-from .zeckendorf import _THREE_ODD, classify, decompose, low, sum_of
+from .zeckendorf import _LOW_LIMIT, _THREE_ODD, _window, classify, decompose, low, sum_of
 
 _SPOT_CAP = 200_000  # invariant spot checks stay at or below this
 _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
@@ -28,44 +30,101 @@ _PARALLEL_MIN = 100_000  # below this, starting workers costs more than it saves
 
 class Route(NamedTuple):
     """One route: func is "g" or "gbar", key its `--algorithms` name, name
-    the suite name `check` prints; values(top) yields the route's values at
-    0..top."""
+    the suite name `check` prints; values(lo, hi) yields the route's values
+    at lo..hi."""
 
     func: str
     key: str
     name: str
-    values: Callable[[int], Iterable[int]]
+    values: Callable[[int, int], Iterable[int]]
 
 
-def _scalar(fn: Callable[[int], int]) -> Callable[[int], Iterable[int]]:
-    return lambda top: map(fn, range(top + 1))
+# Rank routes add over windows, the n = H + r sharing ranks >= 18 (_window),
+# and flip is affine on each depth block: a form calls its scalar function per
+# window or block, and reads its scalar's table or one of r < F(18), up to hi.
+
+def _windows(lo: int, hi: int, name: str):
+    """Yield (H, a, b) per window, ascending: its n in [lo, hi] are H + [a, b)."""
+    n = lo
+    while n <= hi:
+        H, top, _ = _window(n, name)
+        yield H, n - H, min(top, hi + 1) - H
+        n = top
 
 
-def _word(mirror: bool) -> Callable[[int], Iterable[int]]:
+def _blocks(lo: int, hi: int):
+    """Yield (first, last, s, e) per depth block of n >= 2: [s, e] = [lo, hi] in it."""
+    n = max(lo, 2)
+    while n <= hi:
+        k = fib_inv(n - 1)
+        yield _FIB[k] + 1, _FIB[k + 1], n, min(hi, _FIB[k + 1])
+        n = _FIB[k + 1] + 1
+
+
+def _decomposition(lo: int, hi: int) -> Iterable[int]:
+    # g(H + r) = g(H) + g(r)
+    g_low = list(map(g_via_decomposition, range(min(hi + 1, _LOW_LIMIT))))
+    for H, a, b in _windows(lo, hi, "g_via_decomposition"):
+        yield from map(g_via_decomposition(H).__add__, g_low[a:b])
+
+
+def _complement(lo: int, hi: int) -> Iterable[int]:
+    # on a block, m = last - n is what gets decomposed: for m = H + r,
+    # gbar(n) = gbar(last - H) - sums[r], the shifted rank sum of r
+    gbar_via_complement(hi)  # past its top edge, the scalar's error, not an IndexError
+    yield from map(gbar_via_complement, range(lo, min(hi, 1) + 1))
+    sums = [_FIB[19] - gbar_via_complement(_FIB[20] - r) for r in range(min(hi + 1, _LOW_LIMIT))]
+    for _, last, s, e in _blocks(lo, hi):
+        for H, a, b in reversed(list(_windows(last - e, last - s, "gbar_via_complement"))):
+            yield from map(gbar_via_complement(last - H).__sub__, reversed(sums[a:b]))
+
+
+def _flip(lo: int, hi: int) -> Iterable[int]:
+    # flip(n) = c_in - n on n's block, and c_out - m on the block below,
+    # where g(flip(n)) lies: so gbar(n) = c_out - G[c_in - n]
+    yield from map(gbar_via_flip, range(lo, min(hi, 1) + 1))
+    for first, last, s, e in _blocks(lo, hi):
+        c_in = first + flip(first)
+        _G.ensure(last)
+        G = _G._values
+        c_out = gbar_via_flip(first) + G[c_in - first]
+        yield from map(c_out.__sub__, map(G.__getitem__, range(c_in - s, c_in - e - 1, -1)))
+
+
+def _correction(lo: int, hi: int) -> Iterable[int]:
+    # gbar(H + r) = G[H + r] + [r is three-odd] from r = 3; below, the class
+    # of H + r reads H's ranks, so those n take the scalar function itself
+    _G.ensure(hi)
+    G = _G._values
+    bump = [r > 2 and classify(r) is _THREE_ODD for r in range(min(hi + 1, _LOW_LIMIT))]
+    for H, a, b in _windows(lo, hi, "gbar_via_g_correction"):
+        yield from map(gbar_via_g_correction, range(H + a, H + min(b, 3)))
+        yield from map(add, G[H + max(a, 3):H + b], bump[max(a, 3):b])
+
+
+def _word(mirror: bool) -> Callable[[int, int], Iterable[int]]:
     """Running sums of a Fibonacci word from s0 = 1, s1 = 10.  The g word
     grows by s(k+1) = s(k) + s(k-1).  The mirror grows by s(k-1) + s(k), and
     its odd-k words are prefixes of gbar's step bits, its even-k words not
     (an identity the check itself confirms)."""
-    def values(top: int) -> Iterable[int]:
+    def values(lo: int, hi: int) -> Iterable[int]:
         prev, word, odd = b"\x01", b"\x01\x00", True
-        while len(word) < top or (mirror and not odd):
+        while len(word) < hi or (mirror and not odd):
             prev, word, odd = word, (prev + word if mirror else word + prev), not odd
-        return accumulate(word[:top], initial=0)
+        return accumulate(word[lo:hi], initial=sum(word[:lo]))
     return values
 
 
 ROUTES = (
-    Route("g", "decomposition", "g: defining = decomposition",
-          _scalar(g_via_decomposition)),
+    Route("g", "decomposition", "g: defining = decomposition", _decomposition),
     Route("g", "word", "g: defining = word", _word(mirror=False)),
-    Route("g", "phi", "g: defining = phi floor", _scalar(g_via_phi)),
-    Route("gbar", "flip", "gbar: defining = flip conjugation",
-          _scalar(gbar_via_flip)),
+    Route("g", "phi", "g: defining = phi floor",
+          lambda lo, hi: map(g_via_phi, range(lo, hi + 1))),
+    Route("gbar", "flip", "gbar: defining = flip conjugation", _flip),
     Route("gbar", "word", "gbar: defining = word", _word(mirror=True)),
     Route("gbar", "correction", "gbar: defining = g + three-odd correction",
-          _scalar(gbar_via_g_correction)),
-    Route("gbar", "complement", "gbar: defining = complement ranks",
-          _scalar(gbar_via_complement)),
+          _correction),
+    Route("gbar", "complement", "gbar: defining = complement ranks", _complement),
 )
 
 
@@ -76,7 +135,7 @@ def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:
     disagreement "first mismatch at n=k: route value != expected", or the
     count of values when the route yields fewer or more than max_n + 1.
     """
-    values = iter(route.values(max_n))
+    values = iter(route.values(0, max_n))
     n = -1
     for n, got in zip(range(max_n + 1), values):
         if got != expect[n]:
@@ -140,7 +199,9 @@ def check(max_n: int, keys: set[str]) -> tuple[float, list[tuple[str, bool, str,
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
             sys.stdout.flush()  # a child flushes what it inherits on exit
-            queue, running, done = list(tasks), {}, {}  # running: reader: (task, child)
+            # the invariant suites, the longest task, start first; running
+            # maps reader: (task, child)
+            queue, running, done = [tasks[-1], *tasks[:-1]], {}, {}
             try:
                 while queue or running:
                     while queue and len(running) < workers:

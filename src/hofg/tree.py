@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .fibonacci import fib
 from .flip_gbar import gbar_arity, gbar_rightmost_child, gbar_values
-from .g_func import Arity, g_arity, g_max_antecedent, g_values
+from .g_func import Arity, _in_table, g_arity, g_max_antecedent, g_values
 
 DEPTH_MAX = 25
 
@@ -91,6 +91,7 @@ def children(func: str, n: int) -> list[int]:
         r = g_max_antecedent(n)
         a = g_arity(n)
     else:
+        _in_table("children", n, n + 1)  # the entry gbar_rightmost_child reads
         r = gbar_rightmost_child(n)
         a = gbar_arity(n)
     return [r] if a is Arity.UNARY else [r - 1, r]

@@ -91,35 +91,20 @@ def _build_low_ranks() -> tuple[tuple[int, ...], ...]:
 
 _LOW_RANKS = _build_low_ranks()  # the canonical ranks of each r < F(18)
 _LOW_LIMIT = len(_LOW_RANKS)
-_memo = (0, _LOW_LIMIT, ())  # (H, top, high) of the last walk; see _greedy_ranks
+_memo = (0, _LOW_LIMIT, ())  # the window of the last walk; see _greedy_ranks
 
 
-def _greedy_ranks(n: int, name: str) -> tuple[int, ...]:
-    """Canonical ranks of n, ascending: the one greedy walk.
-
-    Every rank route (decompose, low, classify, g_via_decomposition,
-    gbar_via_complement) reads this tuple, passing its name for the errors;
-    none walks the ranks itself.  Each term is fib_inv's lookup, inlined
-    because a call per term costs more than the lookup: the top rank for
-    the remainder's bit length, stepped down at most twice.  Once the
-    remainder is below F(18) the walk hands over to _LOW_RANKS, because
-    over a sweep most terms lie below rank 18 (4.5 of 7.9 up to 10^6).
-
-    The last walk's peeled ranks (high, lowest h, sum H) stay in _memo with
-    top = H + min(F(18), F(h-1)): for n in [H, top), n - H has ranks at
-    most h - 2, so by uniqueness n's form is those ranks plus high.  A hit
-    reuses greedy output, no second rule like a sweep increment.  Forms go
-    out as immutable tuples, a hit's sharing high; _memo is one tuple
-    replaced whole, so threads and forked children read a consistent memo.
-    """
-    global _memo
+def _window(n: int, name: str) -> tuple[int, int, tuple[int, ...]]:
+    """(H, top, high): the window of n, the n' that share n's canonical
+    ranks >= 18.  high holds them ascending, lowest h, sum H; the window is
+    [H, top), top = H + min(F(18), F(h-1)), and by uniqueness n' is high plus
+    the ranks of n' - H < F(18), which lie at most at h - 2.  Each top is the
+    next window's H.  A term is fib_inv's lookup, inlined (a call costs more):
+    the top rank for the bit length, stepped down at most twice."""
     if not 0 <= n < _INV_LIMIT:
         if n < 0:
             raise DomainError(f"{name}: n must be >= 0, got {n}")
         raise RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
-    H, top, high = _memo
-    if H <= n < top:
-        return _LOW_RANKS[n - H] + high
     r, k, peeled = n, 0, []
     while r >= _LOW_LIMIT:
         k = _TOP_RANK[r.bit_length()]
@@ -127,10 +112,28 @@ def _greedy_ranks(n: int, name: str) -> tuple[int, ...]:
             k -= 1
         peeled.append(k)
         r -= _FIB[k]
-    high = tuple(reversed(peeled))
     H = n - r  # k is h, the last rank peeled, or 0: F(h-1) < F(18) only for h = 18
-    _memo = (H, H + (_FIB[17] if k == 18 else _LOW_LIMIT), high)
-    return _LOW_RANKS[r] + high
+    return H, H + (_FIB[17] if k == 18 else _LOW_LIMIT), tuple(reversed(peeled))
+
+
+def _greedy_ranks(n: int, name: str) -> tuple[int, ...]:
+    """Canonical ranks of n, ascending: the one greedy walk.
+
+    Every rank route (decompose, low, classify, g_via_decomposition,
+    gbar_via_complement) reads this tuple, passing its name for the errors;
+    none walks the ranks itself.  The ranks below 18, most of them over a
+    sweep (4.5 of 7.9 up to 10^6), come from _LOW_RANKS.  The last walk's
+    window stays in _memo, so an n inside it reuses greedy output, no second
+    rule like a sweep increment.  Forms go out as immutable tuples, a hit's
+    sharing high; _memo is one tuple replaced whole, so threads and forked
+    children read a consistent memo.
+    """
+    global _memo
+    H, top, high = _memo
+    if H <= n < top:
+        return _LOW_RANKS[n - H] + high
+    _memo = H, top, high = _window(n, name)
+    return _LOW_RANKS[n - H] + high
 
 
 def decompose(n: int) -> Decomposition:

@@ -5,8 +5,9 @@ ACCEPT line (visible under pytest -s).  Timed criteria do their whole
 sweep inside the measured window, using fresh tables where a fill is part
 of the work; untimed criteria share the session-scoped arrays from
 conftest.  Criteria 2 and 3 sweep every registry route of their function
-through portfolio.compare.  Budgets are wall-clock seconds on the machine
-running the suite.
+through portfolio.compare; the scalar functions behind the rank routes'
+window forms are swept n by n in test_portfolio.py.  Budgets are
+wall-clock seconds on the machine running the suite.
 """
 
 import random

@@ -229,7 +229,7 @@ def sabotage(monkeypatch, func, key, values):
 
 def test_check_reports_failures(capsys, monkeypatch):
     # sabotage one route to prove a red suite turns into exit 1
-    sabotage(monkeypatch, "g", "phi", lambda top: [0] * (top + 1))
+    sabotage(monkeypatch, "g", "phi", lambda lo, hi: [0] * (hi - lo + 1))
     code, out, _ = invoke(capsys, "check", "--max", "200")
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
@@ -257,7 +257,7 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
     monkeypatch.setattr(portfolio, "_cpus", lambda: 2)  # workers from PARALLEL_MAX
     top = int(max_n)
     # too few: a correct prefix that stops one short, and nothing at all
-    for short, got in ((g_values, top), (lambda top: [], 0)):
+    for short, got in ((lambda lo, hi: g_values(hi)[lo:], top), (lambda lo, hi: [], 0)):
         sabotage(monkeypatch, "g", "phi", short)
         code, out, _ = invoke(capsys, "check", "--max", max_n)
         assert code == 1
@@ -267,7 +267,7 @@ def test_check_fails_a_route_with_the_wrong_count(capsys, monkeypatch, max_n):
         assert "SUMMARY: 12/13 suites passed" in out
     # too many: a correct sweep with one value past max_n
     word = route("gbar", "word").values
-    sabotage(monkeypatch, "gbar", "word", lambda top: word(top + 1))
+    sabotage(monkeypatch, "gbar", "word", lambda lo, hi: word(lo, hi + 1))
     code, out, _ = invoke(capsys, "check", "--max", max_n)
     assert code == 1
     assert re.search(suite_line("FAIL", "gbar: defining = word",
@@ -383,7 +383,7 @@ def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
     monkeypatch.setattr(portfolio, "_cpus", lambda: cpus)  # 2: one worker per CPU
     monkeypatch.setattr(portfolio, "_PARALLEL_MIN", 0)  # workers from any --max
     sabotage(monkeypatch, "gbar", "flip",
-             lambda top: time.sleep(0.5) or gbar_values(top + 1))
+             lambda lo, hi: time.sleep(0.5) or gbar_values(hi + 1)[lo:])
     code, out, _ = invoke(capsys, "check", "--max", "2000")
     assert code == 0
     seconds = {line[6:51].rstrip(): float(line[51:].split()[0])
@@ -395,7 +395,7 @@ def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
 
 def raises(exc):
     """A route values function that raises exc."""
-    def values(top):
+    def values(lo, hi):
         raise exc
     return values
 
@@ -418,7 +418,7 @@ def test_check_parallel_prints_what_serial_prints(capsys, monkeypatch):
 @needs_fork
 def test_check_parallel_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
-    sabotage(monkeypatch, "g", "phi", lambda top: [0] * (top + 1))
+    sabotage(monkeypatch, "g", "phi", lambda lo, hi: [0] * (hi - lo + 1))
     code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert code == 1
     assert "FAIL  g: defining = phi floor" in out
@@ -448,7 +448,7 @@ def test_check_worker_domain_error_exits_one(capsys, monkeypatch):
 def test_check_worker_error_does_not_wait_for_running_suites(capsys, monkeypatch):
     monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
     # the error must not wait for a suite that another worker is running
-    swaps = {"decomposition": lambda top: time.sleep(60) or [],
+    swaps = {"decomposition": lambda lo, hi: time.sleep(60) or [],
              "flip": raises(DomainError("sabotaged route"))}
     monkeypatch.setattr(portfolio, "ROUTES", tuple(
         r._replace(values=swaps[r.key]) if r.key in swaps else r for r in ROUTES))
@@ -487,9 +487,9 @@ def test_check_runs_each_route_in_a_child_of_its_own(capsys, monkeypatch, tmp_pa
 
     def logged(route):
         """route's own values, after writing the pid that computes them."""
-        def values(top):
+        def values(lo, hi):
             (tmp_path / f"{route.func}-{route.key}").write_text(str(os.getpid()))
-            return route.values(top)
+            return route.values(lo, hi)
         return values
 
     monkeypatch.setattr(portfolio, "ROUTES", tuple(
@@ -504,7 +504,7 @@ def test_check_runs_each_route_in_a_child_of_its_own(capsys, monkeypatch, tmp_pa
 @needs_fork
 def test_check_worker_death_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
-    sabotage(monkeypatch, "g", "phi", lambda top: os._exit(3))
+    sabotage(monkeypatch, "g", "phi", lambda lo, hi: os._exit(3))
     code, out, err = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert (code, out) == (1, "")
     assert err.startswith("error: a check worker died")

@@ -254,21 +254,21 @@ def test_child_domain_errors():
 
 def test_table_readers_that_stop_short_of_table_max():
     # flip sends F(39) + 1 .. 65580142 past the g table, though 99999999
-    # is served, and the rightmost gbar child reads gbar at n + 1: these
-    # raise the table's error, for an index the caller never passed, and
-    # fill nothing
-    def too_big(which, index):
-        return (f"{which}: index {index} needs a table of more than "
+    # is served, and the rightmost gbar child reads gbar at n + 1: each
+    # reader checks the entry it needs first, names itself and the n it was
+    # given, and fills nothing
+    def too_big(name, n):
+        return (f"{name}: n = {n} needs a table of more than "
                 f"TABLE_MAX = {TABLE_MAX} entries")
 
     sizes = len(_G), len(_GBAR)
-    for call, n, text in [
-            (gbar_via_flip, fib(39) + 1, too_big("g", fib(40))),
-            (gbar_via_flip, 65_580_142, too_big("g", TABLE_MAX)),
-            (gbar_leftmost_child, fib(39) + 1, too_big("g", fib(40))),
-            (gbar_rightmost_child, TABLE_MAX - 1, too_big("gbar", TABLE_MAX)),
-            (lambda n: children("gbar", n), TABLE_MAX - 1, too_big("gbar", TABLE_MAX))]:
+    for call, name, n in [
+            (gbar_via_flip, "gbar_via_flip", fib(39) + 1),
+            (gbar_via_flip, "gbar_via_flip", 65_580_142),
+            (gbar_leftmost_child, "gbar_leftmost_child", fib(39) + 1),
+            (gbar_rightmost_child, "gbar_rightmost_child", TABLE_MAX - 1),
+            (lambda n: children("gbar", n), "children", TABLE_MAX - 1)]:
         with pytest.raises(DomainError) as caught:
             call(n)
-        assert str(caught.value) == text, n
+        assert str(caught.value) == too_big(name, n), n
     assert (len(_G), len(_GBAR)) == sizes
