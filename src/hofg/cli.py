@@ -14,22 +14,21 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import pairwise
 
 from .errors import HofgError
-from .flip_gbar import depth, flip, gbar_values, gbar_via_complement
-from .g_func import g_values, g_via_decomposition
+from .flip_gbar import depth, flip
 from .oeis import parse_bfile, verify
-from .portfolio import ROUTES, check
+from .portfolio import ROUTES, TABLE_FREE, check
 from .tree import build_tree, export_dot
 from .zeckendorf import decompose, fib_sum_text, low, normalize, relax
 
 _CHECK_ALGOS = tuple(dict.fromkeys(route.key for route in ROUTES))
 _SEQ_CHUNK = 1 << 16  # seq writes this many lines at a time, not one joined string
 
-_EVAL = {"g": g_via_decomposition, "gbar": gbar_via_complement, "flip": flip,
+_EVAL = {"g": TABLE_FREE["g"][0], "gbar": TABLE_FREE["gbar"][0], "flip": flip,
          "depth": depth, "low": low}
-_SEQ = {"g": (g_values, False), "gbar": (gbar_values, False),  # (table, delta?)
-        "delta-g": (g_values, True), "delta-gbar": (gbar_values, True)}
+_SEQ = {"g": ("g", 0), "gbar": ("gbar", 0), "delta-g": ("g", 1), "delta-gbar": ("gbar", 1)}
 _SEQ_FORMATS = {"plain": lambda n, v: f"{v}", "bfile": lambda n, v: f"{n} {v}",
                 "csv": lambda n, v: f"{n},{v}"}
 
@@ -98,16 +97,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    start, end = args.start, args.end
-    if start > end:
-        return 0
-    table, delta = _SEQ[args.func]
-    values = table(end + 1 + delta)
+    func, delta = _SEQ[args.func]  # a delta value is the step to the next value
+    values = TABLE_FREE[func][1](args.start, args.end + delta)  # edge checked before a value
+    if delta:
+        values = (b - a for a, b in pairwise(values))
     line = _SEQ_FORMATS[args.format]
-    for lo in range(start, end + 1, _SEQ_CHUNK):
-        sys.stdout.write("\n".join(
-            line(n, values[n + 1] - values[n] if delta else values[n])
-            for n in range(lo, min(lo + _SEQ_CHUNK, end + 1))) + "\n")
+    for lo in range(args.start, args.end + 1, _SEQ_CHUNK):
+        chunk = range(lo, min(lo + _SEQ_CHUNK, args.end + 1))
+        sys.stdout.write("\n".join(map(line, chunk, values)) + "\n")
     return 0
 
 

@@ -72,6 +72,8 @@ def gbar_via_flip(n: int) -> int:
     """gbar(n) = flip(g(flip(n))): the mirror function by conjugation."""
     if n < 0:
         raise DomainError(f"gbar_via_flip: n must be >= 0, got {n}")
+    if n > _FIB[RANK_MAX - 1]:  # F(90): flip's edge
+        raise RankOverflow(f"gbar_via_flip: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     return flip(g(_in_table("gbar_via_flip", n, flip(n))))
 
 
@@ -133,6 +135,9 @@ def gbar_leftmost_child(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"gbar_leftmost_child: n must be >= 2, got {n}")
+    if n > _FIB[RANK_MAX - 1]:  # F(90): flip's edge
+        raise RankOverflow(
+            f"gbar_leftmost_child: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     f = _in_table("gbar_leftmost_child", n, flip(n))
     return flip(f + g(f))
 

@@ -8,12 +8,12 @@ not as exceptions; only malformed input raises.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, GapError, ParseError
 from .fibonacci import VALUE_LIMIT
-from .flip_gbar import gbar
-from .g_func import g
+from .portfolio import TABLE_FREE
 
 
 # resolve_offset tries these offsets, which cover the usual OEIS index
@@ -106,22 +106,21 @@ class VerifyReport(NamedTuple):
 def verify(records: list[BFileRecord], func: str, offset: int = 0) -> VerifyReport:
     """Compare records against func; record index i maps to argument i + offset.
 
-    Mismatching values are data, not errors: they are counted and the first
-    one is kept with both sides.  A report with zero mismatches over zero
-    records is vacuously ok.
+    Indices must be consecutive: one window of a table-free route reads
+    them.  Mismatching values are data, not errors: they are counted and the
+    first one is kept with both sides.  A report with zero mismatches over
+    zero records is vacuously ok.
     """
     if func not in ("g", "gbar"):
         raise DomainError(f"verify: func must be 'g' or 'gbar', got {func!r}")
-    fn = g if func == "g" else gbar
-    if records and records[0].index + offset < 0:
-        raise DomainError(
-            f"verify: offset {offset} sends index {records[0].index} below 0")
-    if records:
-        fn(records[-1].index + offset)  # one bulk fill, then cheap lookups
+    lo = records[0].index + offset if records else 0
+    if lo < 0:
+        raise DomainError(f"verify: offset {offset} sends index {records[0].index} below 0")
+    if any(b.index != a.index + 1 for a, b in pairwise(records)):
+        raise DomainError("verify: record indices are not consecutive")
     mismatches = 0
     first: Mismatch | None = None
-    for index, value in records:
-        computed = fn(index + offset)
+    for (index, value), computed in zip(records, TABLE_FREE[func][1](lo, lo + len(records) - 1)):
         if computed != value:
             if first is None:
                 first = Mismatch(index, value, computed)

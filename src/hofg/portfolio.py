@@ -63,6 +63,7 @@ def _blocks(lo: int, hi: int):
 
 def _decomposition(lo: int, hi: int) -> Iterable[int]:
     # g(H + r) = g(H) + g(r)
+    g_via_decomposition(hi)  # past its top edge, the scalar's error before any value
     g_low = list(map(g_via_decomposition, range(min(hi + 1, _LOW_LIMIT))))
     for H, a, b in _windows(lo, hi, "g_via_decomposition"):
         yield from map(g_via_decomposition(H).__add__, g_low[a:b])
@@ -126,6 +127,9 @@ ROUTES = (
           _correction),
     Route("gbar", "complement", "gbar: defining = complement ranks", _complement),
 )
+
+TABLE_FREE = {"g": (g_via_decomposition, _decomposition),  # (scalar, window form): eval
+              "gbar": (gbar_via_complement, _complement)}  # reads one, seq and verify the other
 
 
 def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:

@@ -90,13 +90,40 @@ def test_rank_overflow_names_the_command_and_the_typed_n(capsys, argv, name):
         1, "", f"error: {name}: n = {argv[-1]} needs a Fibonacci rank beyond 91\n")
 
 
-def test_seq_beyond_table_cap_exits_one(capsys):
-    code, out, err = invoke(capsys, "seq", "g", "--to", "3000000000")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "TABLE_MAX" in err
-    assert "Traceback" not in err
+def test_seq_answers_up_to_the_rank_edges(capsys):
+    # seq reads the window forms of eval's g and gbar functions: it answers
+    # up to their edges, one lower for a delta, which reads n + 1.  Past
+    # them it prints nothing, not even a first chunk, and one error line
+    # naming the function and the first n it cannot answer
+    f91, f92 = hofg.fib(91), hofg.fib(90) + hofg.fib(91)
+    for func, top, fn, edge in (
+            ("g", f92 - 1, hofg.g_via_decomposition, f92 - 1),
+            ("gbar", f91, hofg.gbar_via_complement, f91),
+            ("delta-g", f92 - 2, hofg.g_via_decomposition, f92 - 1),
+            ("delta-gbar", f91 - 1, hofg.gbar_via_complement, f91)):
+        name = fn.__name__
+        want = [fn(n + 1) - fn(n) if func.startswith("delta-") else fn(n)
+                for n in range(top - 2, top + 1)]
+        assert invoke(capsys, "seq", func, "--from", str(top - 2), "--to", str(top)) == (
+            0, "".join(f"{v}\n" for v in want), ""), func
+        for start in (top - 2, top + 1 - cli._SEQ_CHUNK - 5):  # one chunk, two chunks
+            assert invoke(capsys, "seq", func, "--from", str(start), "--to", str(top + 1)) == (
+                1, "", f"error: {name}: n = {edge + 1} needs a Fibonacci rank beyond 91\n")
+
+
+@pytest.mark.parametrize("func", ["g", "gbar", "delta-g", "delta-gbar"])
+def test_seq_equals_eval_around_window_and_block_edges(capsys, func):
+    # F(18) is where the windows of the ranks >= 18 start, and each F(k) a
+    # depth block's edge
+    base, delta = func.removeprefix("delta-"), func.startswith("delta-")
+    for k in (18, 19, 20, 30, 60, 88):
+        lo, hi = hofg.fib(k) - 5, hofg.fib(k) + 5
+        at = {n: int(invoke(capsys, "eval", base, str(n))[1]) for n in range(lo, hi + 2)}
+        values = [(n, at[n + 1] - at[n] if delta else at[n]) for n in range(lo, hi + 1)]
+        for fmt, line in (("plain", "{v}"), ("bfile", "{n} {v}"), ("csv", "{n},{v}")):
+            assert invoke(capsys, "seq", func, "--from", str(lo), "--to", str(hi),
+                          "--format", fmt) == (
+                0, "".join(line.format(n=n, v=v) + "\n" for n, v in values), ""), (k, fmt)
 
 
 def test_usage_errors_exit_two(capsys):
@@ -531,28 +558,52 @@ sys.exit(code)
 OUT_OF_MEMORY_LIMIT = 200 * 2**20  # bytes; a 3*10^7-entry table needs ~1.2 GB
 
 
-@pytest.mark.skipif(sys.platform != "linux",
-                    reason="address-space limits are enforced on Linux")
-@pytest.mark.parametrize("argv", [
-    ["verify", "--bfile", "{bfile}", "--func", "g"],
-    ["check", "--max", "30000000", "--algorithms", "word"],
-], ids=["verify", "check"])
-def test_out_of_memory_exits_one_with_one_line(tmp_path, argv):
+def run_limited(argv, limit):
+    """Run argv in a child Python whose address space is capped at limit bytes."""
     import resource
 
     def limit_memory():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (OUT_OF_MEMORY_LIMIT,) * 2)
+        resource.setrlimit(resource.RLIMIT_AS, (limit,) * 2)
 
-    bfile = tmp_path / "top.b"
-    bfile.write_text("30000000 0\n")  # the first index alone sets the table size
     src = os.path.dirname(os.path.dirname(hofg.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", OUT_OF_MEMORY_CHILD,
-         *(arg.format(bfile=bfile) for arg in argv)],
-        capture_output=True, text=True, preexec_fn=limit_memory,
-        env=dict(os.environ, PYTHONPATH=src))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          preexec_fn=limit_memory, env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="address-space limits are enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ["check", "--max", "30000000", "--algorithms", "word"],
+], ids=["check"])
+def test_out_of_memory_exits_one_with_one_line(argv):
+    out = run_limited(["-c", OUT_OF_MEMORY_CHILD, *argv], OUT_OF_MEMORY_LIMIT)
     assert (out.returncode, out.stdout, out.stderr) == (
         1, "", "error: out of memory\n")
+
+
+FAR_LIMIT = 300_000 * 1024  # bytes, as `ulimit -v 300000`: far below a table to 10^8
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="address-space limits are enforced on Linux")
+def test_seq_far_window_needs_no_table(capsys):
+    lo = 99_999_990
+    out = run_limited(["-m", "hofg", "seq", "g", "--from", str(lo), "--to", str(lo + 9)],
+                      FAR_LIMIT)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "".join(invoke(capsys, "eval", "g", str(n))[1]
+                                 for n in range(lo, lo + 10))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="address-space limits are enforced on Linux")
+def test_verify_far_record_needs_no_table(tmp_path):
+    bfile = tmp_path / "far.b"
+    bfile.write_text("60000000 0\n")
+    out = run_limited(["-m", "hofg", "verify", "--bfile", str(bfile), "--func", "g"],
+                      FAR_LIMIT)
+    assert (out.returncode, out.stderr) == (1, "")
+    assert "first mismatch: index 60000000 file 0 computed 37082039\nresult: FAIL\n" in out.stdout
 
 
 def test_every_error_survives_pickling():

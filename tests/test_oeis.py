@@ -115,6 +115,13 @@ def test_verify_offset():
         verify(shifted, "g", offset=-2)
 
 
+def test_verify_rejects_indices_that_are_not_consecutive():
+    # one window reads them all, so the b-file rule of parse_bfile holds here too
+    for rs in (records((0, 0), (2, 1)), records((3, 2), (3, 2)), records((5, 3), (4, 3))):
+        with pytest.raises(DomainError, match=r"^verify: record indices are not consecutive$"):
+            verify(rs, "g")
+
+
 def test_verify_rejects_unknown_func():
     with pytest.raises(DomainError, match=r"^verify: func must be 'g' or 'gbar', got 'both'$"):
         verify(records((0, 0)), "both")

@@ -7,15 +7,17 @@ agree with the defining tables at every n up to 10^6."""
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from hofg import (MemoTable, RankOverflow, fib, flip_gbar, g, g_func, g_via_decomposition, g_via_phi,
-                  gbar, gbar_via_complement, gbar_via_flip, gbar_via_g_correction,
+from hofg import (MemoTable, RankOverflow, cli, fib, flip_gbar, g, g_func, g_via_decomposition,
+                  g_via_phi, gbar, gbar_via_complement, gbar_via_flip, gbar_via_g_correction,
                   portfolio)
 from hofg.portfolio import ROUTES, _check_task, check
 from hofg.zeckendorf import _greedy_ranks
 
+DATA = Path(__file__).parent / "data"
 LIMIT = 10**6
 SCALARS = {"decomposition": g_via_decomposition, "phi": g_via_phi, "flip": gbar_via_flip,
            "correction": gbar_via_g_correction, "complement": gbar_via_complement}
@@ -57,35 +59,46 @@ def test_no_route_builds_a_memo_table(monkeypatch, route):
     assert built == []
 
 
-def test_no_route_reaches_its_own_functions_fill(monkeypatch):
+def test_no_route_reaches_its_own_functions_fill(monkeypatch, capsys):
     # the route census: with both shared tables filled to 3000, a profiler
     # records whose MemoTable._fill each route's sweep reaches.  A route may
     # grow the other function's table (flip reads g past n), never its own.
-    fill = MemoTable._fill.__code__
+    # seq and verify, past 3000 here, reach no fill and build no table.
+    fill, init = MemoTable._fill.__code__, MemoTable.__init__.__code__
     reached = []
 
     def watch(frame, event, arg):
         if event == "call" and frame.f_code is fill:
             reached.append(frame.f_locals["self"].which)
+        if event == "call" and frame.f_code is init:
+            reached.append("a new table")
 
     for module, name, which in ((g_func, "_G", "g"), (flip_gbar, "_GBAR", "gbar")):
         table = MemoTable(which)
         table.ensure(3000)
         monkeypatch.setattr(module, name, table)
+    commands = [["seq", func, "--to", "5000"] for func in cli._SEQ] + [
+        ["verify", "--bfile", str(DATA / bfile), "--func", func] for bfile, func in
+        (("b005206.txt", "g"), ("b123070.txt", "gbar"))]
     census = {}
     previous = sys.getprofile()
     sys.setprofile(watch)
     try:
-        MemoTable("gbar").ensure(10)  # the profiler sees a fill
-        assert reached == ["gbar"]
+        MemoTable("gbar").ensure(10)  # the profiler sees a build and a fill
+        assert reached == ["a new table", "gbar"]
         for route in ROUTES:
             reached.clear()
             for _ in route.values(0, 3000):
                 pass
             census[ids(route)] = set(reached)
+        for argv in commands:
+            reached.clear()
+            assert cli.run(argv) == 0, argv
+            census[" ".join(argv)] = set(reached)
     finally:
         sys.setprofile(previous)
     assert all(route.func not in census[ids(route)] for route in ROUTES), census
+    assert all(census[" ".join(argv)] == set() for argv in commands), census
 
 
 @pytest.mark.parametrize("func", ["g", "gbar"])
