@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import DomainError, RankOverflow
 from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, fib_inv
-from .g_func import Arity, MemoTable, _in_table, g, g_arity
+from .g_func import Arity, MemoTable, g_arity, g_via_decomposition
 from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
 _GBAR = MemoTable("gbar")
@@ -69,24 +69,24 @@ def gbar_values(count: int) -> list[int]:
 
 
 def gbar_via_flip(n: int) -> int:
-    """gbar(n) = flip(g(flip(n))): the mirror function by conjugation."""
+    """gbar(n) = flip(g(flip(n))), g by rank arithmetic: up to F(90), flip's edge."""
     if n < 0:
         raise DomainError(f"gbar_via_flip: n must be >= 0, got {n}")
     if n > _FIB[RANK_MAX - 1]:  # F(90): flip's edge
         raise RankOverflow(f"gbar_via_flip: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
-    return flip(g(_in_table("gbar_via_flip", n, flip(n))))
+    return flip(g_via_decomposition(flip(n)))
 
 
 def gbar_via_g_correction(n: int) -> int:
     """gbar(n) = g(n) + 1 if n is ThreeOdd, else g(n) exactly.
 
     The two functions agree everywhere except on the ThreeOdd numbers
-    (7, 15, 20, ...), where the mirror runs one ahead.
+    (7, 15, 20, ...), where the mirror runs one ahead.  g is read by rank
+    arithmetic, up to g_via_decomposition's edge F(92) - 1.
     """
     if n < 0:
         raise DomainError(f"gbar_via_g_correction: n must be >= 0, got {n}")
-    bump = 1 if n >= 1 and classify(n) is _THREE_ODD else 0
-    return g(n) + bump
+    return g_via_decomposition(n) + (n >= 1 and classify(n) is _THREE_ODD)
 
 
 def gbar_via_complement(n: int) -> int:
@@ -119,11 +119,15 @@ def gbar_rightmost_child(n: int) -> int:
     """Largest m with gbar(m) = n, namely n - 1 + gbar(n+1).  Needs n >= 2.
 
     The formula does not cover the root (node 1 has the single child 2) or
-    n = 0, which is not a tree node.
+    n = 0, which is not a tree node.  gbar_via_complement reads n + 1, so n
+    answers up to F(91) - 1.
     """
     if n < 2:
         raise DomainError(f"gbar_rightmost_child: n must be >= 2, got {n}")
-    return n - 1 + gbar(_in_table("gbar_rightmost_child", n, n + 1))
+    if n >= _FIB[RANK_MAX]:  # F(91): n + 1 passes gbar_via_complement's edge
+        raise RankOverflow(
+            f"gbar_rightmost_child: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    return n - 1 + gbar_via_complement(n + 1)
 
 
 def gbar_leftmost_child(n: int) -> int:
@@ -131,15 +135,16 @@ def gbar_leftmost_child(n: int) -> int:
 
     flip sends n to the g tree, where the largest antecedent is
     flip(n) + g(flip(n)); flipping back lands on the smallest gbar child.
-    Equal to gbar_rightmost_child(n) exactly on unary nodes.
+    Equal to gbar_rightmost_child(n) exactly on unary nodes.  g is read by
+    rank arithmetic; n answers up to F(89), whose children end at F(90).
     """
     if n < 2:
         raise DomainError(f"gbar_leftmost_child: n must be >= 2, got {n}")
-    if n > _FIB[RANK_MAX - 1]:  # F(90): flip's edge
+    if n > _FIB[RANK_MAX - 2]:  # F(89): level 88's children lie past F(90)
         raise RankOverflow(
             f"gbar_leftmost_child: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
-    f = _in_table("gbar_leftmost_child", n, flip(n))
-    return flip(f + g(f))
+    f = flip(n)
+    return flip(f + g_via_decomposition(f))
 
 
 def gbar_arity(n: int) -> Arity:

@@ -21,12 +21,12 @@ from enum import Enum
 from math import isqrt
 
 from .errors import DomainError
-from .fibonacci import _FIB
+from .fibonacci import _FIB, _INV_LIMIT
 from .zeckendorf import _greedy_ranks, low
 
-# Domain cap for the closed-form route; the rank routes are bounded by rank
-# 91 (decompositions), the dense tables by TABLE_MAX.
-PHI_DOMAIN = 1 << 31
+# Domain cap for the closed-form route: F(92), the rank routes' edge.  isqrt
+# is exact at any size, so it is a contract, not a precision limit.
+PHI_DOMAIN = _INV_LIMIT
 
 # Most entries a MemoTable holds (about 2.8 GB at ~28 bytes per entry).
 TABLE_MAX = 10**8
@@ -144,14 +144,6 @@ class MemoTable:
 _G = MemoTable("g")
 
 
-def _in_table(name: str, n: int, index: int) -> int:
-    """index, the table entry name reads for n, if a table can hold it."""
-    if index >= TABLE_MAX:
-        raise DomainError(f"{name}: n = {n} needs a table of more than "
-                          f"TABLE_MAX = {TABLE_MAX} entries")
-    return index
-
-
 def g(n: int, table: MemoTable | None = None) -> int:
     """g(n) via the defining equation and the shared memo table.
 
@@ -184,23 +176,23 @@ def g_via_phi(n: int) -> int:
 
     With m = n+1: floor(m/phi) = floor(m*phi) - m and
     floor(m*phi) = (m + isqrt(5*m*m)) // 2.  No floats anywhere, so there is
-    no precision cliff; the domain cap below is a documented contract, not a
-    numeric necessity.  Note the +1: the variant floor(n/phi) is wrong
-    already at n = 1.
+    no precision cliff; the domain cap PHI_DOMAIN = F(92), the rank routes'
+    edge, is a documented contract, not a numeric necessity.  Note the +1:
+    the variant floor(n/phi) is wrong already at n = 1.
     """
     if n < 0:
         raise DomainError(f"g_via_phi: n must be >= 0, got {n}")
     if n >= PHI_DOMAIN:
-        raise DomainError(f"g_via_phi: n must be < 2**31, got {n}")
+        raise DomainError(f"g_via_phi: n must be < F(92) = {PHI_DOMAIN}, got {n}")
     m = n + 1
     return (m + isqrt(5 * m * m)) // 2 - m
 
 
 def g_max_antecedent(n: int) -> int:
-    """Largest m with g(m) = n, namely n + g(n)."""
+    """Largest m with g(m) = n, namely n + g(n), g by rank arithmetic."""
     if n < 0:
         raise DomainError(f"g_max_antecedent: n must be >= 0, got {n}")
-    return n + g(n)
+    return n + g_via_decomposition(n)
 
 
 def g_arity(n: int) -> Arity:

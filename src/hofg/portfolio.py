@@ -19,8 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import HofgError
 from .fibonacci import _FIB, fib_inv
-from .flip_gbar import (_GBAR, flip, gbar, gbar_values, gbar_via_complement,
-                        gbar_via_flip, gbar_via_g_correction)
+from .flip_gbar import _GBAR, flip, gbar, gbar_values, gbar_via_complement
 from .g_func import _G, g, g_values, g_via_decomposition, g_via_phi
 from .zeckendorf import _LOW_LIMIT, _THREE_ODD, _window, classify, decompose, low, sum_of
 
@@ -40,8 +39,8 @@ class Route(NamedTuple):
 
 
 # Rank routes add over windows, the n = H + r sharing ranks >= 18 (_window),
-# and flip is affine on each depth block: a form calls its scalar function per
-# window or block, and reads its scalar's table or one of r < F(18), up to hi.
+# and flip is affine on each depth block: a rank form calls its scalar function
+# per window and reads one of r < F(18); flip and correction read the g table.
 
 def _windows(lo: int, hi: int, name: str):
     """Yield (H, a, b) per window, ascending: its n in [lo, hi] are H + [a, b)."""
@@ -83,23 +82,24 @@ def _complement(lo: int, hi: int) -> Iterable[int]:
 def _flip(lo: int, hi: int) -> Iterable[int]:
     # flip(n) = c_in - n on n's block, and c_out - m on the block below,
     # where g(flip(n)) lies: so gbar(n) = c_out - G[c_in - n]
-    yield from map(gbar_via_flip, range(lo, min(hi, 1) + 1))
+    yield from range(lo, min(hi, 1) + 1)  # gbar fixes 0 and 1
     for first, last, s, e in _blocks(lo, hi):
         c_in = first + flip(first)
         _G.ensure(last)
         G = _G._values
-        c_out = gbar_via_flip(first) + G[c_in - first]
+        c_out = flip(G[c_in - first]) + G[c_in - first]  # gbar(first) + G[c_in - first]
         yield from map(c_out.__sub__, map(G.__getitem__, range(c_in - s, c_in - e - 1, -1)))
 
 
 def _correction(lo: int, hi: int) -> Iterable[int]:
     # gbar(H + r) = G[H + r] + [r is three-odd] from r = 3; below, the class
-    # of H + r reads H's ranks, so those n take the scalar function itself
+    # of H + r reads H's ranks, so those n classify n itself
     _G.ensure(hi)
     G = _G._values
     bump = [r > 2 and classify(r) is _THREE_ODD for r in range(min(hi + 1, _LOW_LIMIT))]
     for H, a, b in _windows(lo, hi, "gbar_via_g_correction"):
-        yield from map(gbar_via_g_correction, range(H + a, H + min(b, 3)))
+        yield from (G[n] + (n > 0 and classify(n) is _THREE_ODD)
+                    for n in range(H + a, H + min(b, 3)))
         yield from map(add, G[H + max(a, 3):H + b], bump[max(a, 3):b])
 
 

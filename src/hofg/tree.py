@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .fibonacci import fib
 from .flip_gbar import gbar_arity, gbar_rightmost_child, gbar_values
-from .g_func import Arity, _in_table, g_arity, g_max_antecedent, g_values
+from .g_func import Arity, g_arity, g_max_antecedent, g_values
 
 DEPTH_MAX = 25
 
@@ -79,7 +79,8 @@ def children(func: str, n: int) -> list[int]:
 
     The rightmost child is the largest antecedent; when the node is binary
     the other child sits directly below it.  The root's single child is 2 in
-    both trees.
+    both trees.  No table is read: n answers up to F(92) - 1 for g and F(90),
+    flip's edge, for gbar, and above them the arity's error names n.
     """
     if func not in _FUNCS:
         raise DomainError(f"children: func must be 'g' or 'gbar', got {func!r}")
@@ -88,12 +89,11 @@ def children(func: str, n: int) -> list[int]:
     if n == 1:
         return [2]
     if func == "g":
-        r = g_max_antecedent(n)
         a = g_arity(n)
+        r = g_max_antecedent(n)
     else:
-        _in_table("children", n, n + 1)  # the entry gbar_rightmost_child reads
-        r = gbar_rightmost_child(n)
         a = gbar_arity(n)
+        r = gbar_rightmost_child(n)
     return [r] if a is Arity.UNARY else [r - 1, r]
 
 

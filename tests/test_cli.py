@@ -606,6 +606,28 @@ def test_verify_far_record_needs_no_table(tmp_path):
     assert "first mismatch: index 60000000 file 0 computed 37082039\nresult: FAIL\n" in out.stdout
 
 
+TABLE_READERS_CHILD = """\
+from hofg import (g_max_antecedent, gbar_leftmost_child, gbar_rightmost_child,
+                  gbar_via_flip, gbar_via_g_correction)
+from hofg.tree import children
+n = 90_000_000
+print(gbar_via_flip(n), gbar_via_g_correction(n), g_max_antecedent(n),
+      gbar_rightmost_child(n), gbar_leftmost_child(n), *children("g", n),
+      *children("gbar", n))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="address-space limits are enforced on Linux")
+def test_child_and_conjugation_functions_need_no_table():
+    # a g table to 9*10^7 would need about 2.5 GB; rank arithmetic needs none
+    out = run_limited(["-c", TABLE_READERS_CHILD], FAR_LIMIT)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.split() == [str(v) for v in (
+        55623059, 55623059, 145623059, 145623059, 145623058,
+        145623058, 145623059, 145623058, 145623059)]
+
+
 def test_every_error_survives_pickling():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, HofgError)]

@@ -26,10 +26,7 @@ from hofg import (
     gbar_via_flip,
     gbar_via_g_correction,
 )
-from hofg.errors import DomainError, HofgError, RankOverflow
-from hofg.flip_gbar import _GBAR
-from hofg.g_func import _G, TABLE_MAX
-from hofg.tree import children
+from hofg.errors import DomainError, HofgError
 
 N = 20_000
 
@@ -250,34 +247,3 @@ def test_child_domain_errors():
             fn(0)
     with pytest.raises(DomainError):
         gbar_arity(0)
-
-
-def test_table_readers_that_stop_short_of_table_max():
-    # flip sends F(39) + 1 .. 65580142 and everything past F(40) beyond the g
-    # table, though 65580143 .. F(40) are served, and the rightmost gbar
-    # child reads gbar at n + 1: each reader checks the entry it needs
-    # first, names itself and the n it was given, and fills nothing.  Past
-    # F(90), flip's own edge, the flip readers name themselves too
-    def too_big(name, n):
-        return (f"{name}: n = {n} needs a table of more than "
-                f"TABLE_MAX = {TABLE_MAX} entries")
-
-    def past_flip(name, n):
-        return f"{name}: n = {n} needs a Fibonacci rank beyond 91"
-
-    sizes = len(_G), len(_GBAR)
-    for call, name, n, text in [
-            (gbar_via_flip, "gbar_via_flip", fib(39) + 1, too_big),
-            (gbar_via_flip, "gbar_via_flip", 65_580_142, too_big),
-            (gbar_via_flip, "gbar_via_flip", fib(40) + 1, too_big),
-            (gbar_via_flip, "gbar_via_flip", fib(90) + 1, past_flip),
-            (gbar_leftmost_child, "gbar_leftmost_child", fib(39) + 1, too_big),
-            (gbar_leftmost_child, "gbar_leftmost_child", fib(40) + 1, too_big),
-            (gbar_leftmost_child, "gbar_leftmost_child", fib(90) + 1, past_flip),
-            (gbar_rightmost_child, "gbar_rightmost_child", TABLE_MAX - 1, too_big),
-            (lambda n: children("gbar", n), "children", TABLE_MAX - 1, too_big)]:
-        with pytest.raises(DomainError) as caught:
-            call(n)
-        assert str(caught.value) == text(name, n), n
-        assert isinstance(caught.value, RankOverflow) == (text is past_flip), n
-    assert (len(_G), len(_GBAR)) == sizes

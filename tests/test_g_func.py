@@ -22,7 +22,6 @@ from hofg import (
     g_values,
     g_via_decomposition,
     g_via_phi,
-    gbar_via_flip,
     low,
 )
 from hofg.errors import DomainError
@@ -62,9 +61,14 @@ def test_phi_route_offset_discriminator():
 
 
 def test_phi_route_domain_cap():
-    assert g_via_phi(PHI_DOMAIN - 1) >= 0
-    with pytest.raises(DomainError):
-        g_via_phi(PHI_DOMAIN)
+    # the cap is the rank routes' edge F(92), and the floor agrees with the
+    # rank sum right up to it
+    assert PHI_DOMAIN == fib(91) + fib(90)
+    assert g_via_phi(PHI_DOMAIN - 1) == g_via_decomposition(PHI_DOMAIN - 1)
+    for n in (PHI_DOMAIN, 2**63 - 1):
+        with pytest.raises(DomainError, match=rf"^g_via_phi: n must be < F\(92\) = "
+                                              rf"{PHI_DOMAIN}, got {n}$"):
+            g_via_phi(n)
     # check compares every route against a table, so no check range
     # reaches the phi route's cap
     assert TABLE_MAX < PHI_DOMAIN
@@ -122,12 +126,11 @@ def test_fibonacci_fixed_points_full_rank_range():
 
 
 def test_fibonacci_fixed_points_phi_route():
-    k = 2
-    while fib(k) + 1 < PHI_DOMAIN:
+    # every rank up to 91: F(91) + 1 is under the cap F(92)
+    assert fib(91) + 1 < PHI_DOMAIN
+    for k in range(2, 92):
         assert g_via_phi(fib(k)) == fib(k - 1)
         assert g_via_phi(1 + fib(k)) == (1 + fib(k - 1) if k > 2 else 1)
-        k += 1
-    assert k == 47  # F(46) is the last Fibonacci number under the cap
 
 
 def test_plateau_iff_lowest_rank_two():
@@ -335,8 +338,6 @@ def test_table_size_cap():
     assert len(t) == len(_SEEDS[("gbar", "defining")])
     with pytest.raises(DomainError, match=f"^g: index {TABLE_MAX} needs a table"):
         g(TABLE_MAX)
-    with pytest.raises(DomainError, match="TABLE_MAX"):
-        gbar_via_flip(fib(60))
 
 
 def test_memo_table_concurrent_readers():

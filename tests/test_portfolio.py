@@ -61,10 +61,13 @@ def test_no_route_builds_a_memo_table(monkeypatch, route):
 
 def test_no_route_reaches_its_own_functions_fill(monkeypatch, capsys):
     # the route census: with both shared tables filled to 3000, a profiler
-    # records whose MemoTable._fill each route's sweep reaches.  A route may
-    # grow the other function's table (flip reads g past n), never its own.
-    # seq and verify, past 3000 here, reach no fill and build no table.
+    # records whose MemoTable._fill each route's sweep reaches, and which
+    # route's scalar function.  A route may grow the other function's table
+    # (flip reads g past n), never its own, and may call its own scalar
+    # function, never another route's.  seq and verify, past 3000 here,
+    # reach no fill and build no table.
     fill, init = MemoTable._fill.__code__, MemoTable.__init__.__code__
+    scalars = {func.__code__: key for key, func in SCALARS.items()}
     reached = []
 
     def watch(frame, event, arg):
@@ -72,6 +75,8 @@ def test_no_route_reaches_its_own_functions_fill(monkeypatch, capsys):
             reached.append(frame.f_locals["self"].which)
         if event == "call" and frame.f_code is init:
             reached.append("a new table")
+        if event == "call" and frame.f_code in scalars:
+            reached.append(scalars[frame.f_code])
 
     for module, name, which in ((g_func, "_G", "g"), (flip_gbar, "_GBAR", "gbar")):
         table = MemoTable(which)
@@ -98,7 +103,9 @@ def test_no_route_reaches_its_own_functions_fill(monkeypatch, capsys):
     finally:
         sys.setprofile(previous)
     assert all(route.func not in census[ids(route)] for route in ROUTES), census
-    assert all(census[" ".join(argv)] == set() for argv in commands), census
+    assert all(census[ids(route)] & SCALARS.keys() <= {route.key} for route in ROUTES), census
+    assert all(census[" ".join(argv)].isdisjoint({"g", "gbar", "a new table"})
+               for argv in commands), census
 
 
 @pytest.mark.parametrize("func", ["g", "gbar"])

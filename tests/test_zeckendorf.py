@@ -29,10 +29,15 @@ from hofg import (
     fib_sum_text,
     flip,
     g_arity,
+    g_max_antecedent,
     g_via_decomposition,
     g_via_phi,
     gbar_arity,
+    gbar_leftmost_child,
+    gbar_rightmost_child,
     gbar_via_complement,
+    gbar_via_flip,
+    gbar_via_g_correction,
     low,
     next_three_odd,
     normalize,
@@ -42,6 +47,7 @@ from hofg import (
 )
 from hofg.errors import DomainError, HofgError, RankOverflow
 from hofg.fibonacci import _INV_LIMIT
+from hofg.tree import children
 from hofg.zeckendorf import _LOW_RANKS, _greedy_ranks
 
 
@@ -438,6 +444,14 @@ def _overflow(name):
     return RankOverflow, f"{name}: n = {{n}} needs a Fibonacci rank beyond 91"
 
 
+def children_g(n):
+    return children("g", n)
+
+
+def children_gbar(n):
+    return children("gbar", n)
+
+
 # Each public scalar function that reads Fibonacci ranks: its top edge, its
 # oracle, and the exact error above the edge.  The error names the function,
 # or the public function it hands n to, at the n it was given.
@@ -453,6 +467,19 @@ EDGES = [
     (flip, _F[90], _flip_oracle, _overflow("flip")),
     (gbar_arity, _F[90], lambda n: _arity_oracle(_gbar_oracle, n), _overflow("flip")),
     (gbar_via_complement, _F[91], _gbar_oracle, _overflow("gbar_via_complement")),
+    # the functions that answer through g or gbar: each names the function
+    # it hands the same n to, or itself where it hands on another n
+    (gbar_via_g_correction, _INV_EDGE - 1, _gbar_oracle, _overflow("g_via_decomposition")),
+    (g_max_antecedent, _INV_EDGE - 1, lambda n: n + _g_oracle(n),
+     _overflow("g_via_decomposition")),
+    (children_g, _INV_EDGE - 1, lambda n: _preimages(_g_oracle, n), _overflow("low")),
+    (gbar_via_flip, _F[90], _gbar_oracle, _overflow("gbar_via_flip")),
+    (children_gbar, _F[90], lambda n: _preimages(_gbar_oracle, n), _overflow("flip")),
+    (gbar_rightmost_child, _F[91] - 1, lambda n: _preimages(_gbar_oracle, n)[-1],
+     _overflow("gbar_rightmost_child")),
+    # a level-88 node's smallest child is on level 89, past flip's edge F(90)
+    (gbar_leftmost_child, _F[89], lambda n: _preimages(_gbar_oracle, n)[0],
+     _overflow("gbar_leftmost_child")),
     (next_three_odd, _INV_EDGE - 2,
      lambda n: next(m for m in range(n + 1, n + 9) if _class_oracle(m) is THREE_ODD),
      (DomainError, "next_three_odd: n = {n} has no three-odd successor < F(92)")),
@@ -509,7 +536,7 @@ def test_rank_routes_at_random_points_across_the_domain():
     for n in _log_uniform_points(rng, _F[92] + 1, 2000):
         assert depth(n) == (bisect_left(_F, n) - 2 if n > 1 else 0), n
     # the phi floor against the rank sum, not against the floor it computes
-    for n in _log_uniform_points(rng, 2**31, 2000):
+    for n in _log_uniform_points(rng, _INV_EDGE, 2000):
         assert g_via_phi(n) == sum(_F[k - 1] for k in _ranks_oracle(n)), n
 
 
