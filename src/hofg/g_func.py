@@ -20,8 +20,8 @@ from __future__ import annotations
 from enum import Enum
 from math import isqrt
 
-from .errors import DomainError
-from .fibonacci import _FIB, _INV_LIMIT
+from .errors import DomainError, RankOverflow
+from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX
 from .zeckendorf import _greedy_ranks, low
 
 # Domain cap for the closed-form route: F(92), the rank routes' edge.  isqrt
@@ -189,9 +189,13 @@ def g_via_phi(n: int) -> int:
 
 
 def g_max_antecedent(n: int) -> int:
-    """Largest m with g(m) = n, namely n + g(n), g by rank arithmetic."""
+    """Largest m with g(m) = n, namely n + g(n), g by rank arithmetic, for n
+    up to F(91) - 1, whose antecedent is F(92) - 1, the rank edge."""
     if n < 0:
         raise DomainError(f"g_max_antecedent: n must be >= 0, got {n}")
+    if n >= _FIB[RANK_MAX]:  # F(91): its antecedent F(92) passes the rank edge
+        raise RankOverflow(
+            f"g_max_antecedent: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     return n + g_via_decomposition(n)
 
 

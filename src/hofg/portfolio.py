@@ -1,11 +1,11 @@
-"""The route registry and the check engine behind `hofg check`.
+"""The route and law registries and the check engine behind `hofg check`.
 
-ROUTES lists every independent route to g and gbar once; check() compares
-each selected route with the defining-equation table of its function and
-runs six invariant spot checks, so a route added here is checked.  The
-two `word` routes sum the step bits g(n+1) - g(n), which form the
-Fibonacci word, and its mirror for gbar: they build byte strings and no
-table.
+ROUTES lists every independent route to g and gbar once, LAWS the six laws
+of the paper; check() compares each selected route with its function's
+defining-equation table and spot-checks each law, so an entry added here
+is checked.  The two `word` routes sum the step bits g(n+1) - g(n),
+which form the Fibonacci word, and its mirror for gbar: they build byte
+strings and no table.
 """
 
 from __future__ import annotations
@@ -132,6 +132,47 @@ TABLE_FREE = {"g": (g_via_decomposition, _decomposition),  # (scalar, window for
               "gbar": (gbar_via_complement, _complement)}  # reads one, seq and verify the other
 
 
+class Law(NamedTuple):
+    """One law of the paper: holds(gg, bb, cap) tests it on lo..cap, where gg
+    and bb are g and gbar tables long enough for every read it makes."""
+
+    name: str
+    lo: int
+    holds: Callable[[list[int], list[int], int], bool]
+
+
+def _comparison(gg: list[int], bb: list[int], cap: int) -> bool:
+    # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
+    odd3 = [classify(n) is _THREE_ODD for n in range(1, cap + 1)]
+    marks = [n for n, odd in enumerate(odd3, 1) if odd]
+    return (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
+            and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))
+            and marks[:1] == ([7] if cap >= 7 else []))
+
+
+def _successor(gg: list[int], bb: list[int], cap: int) -> bool:
+    # low(n) = 2 makes low(n+1) odd, 3 makes it even and above 2, and
+    # anything higher makes it 2
+    lows = [low(n) for n in range(1, cap + 2)]
+    return all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
+               else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
+
+
+LAWS = (
+    Law("invariant: largest antecedent", 0, lambda gg, bb, cap: all(
+        gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1 for n in range(cap + 1))),
+    Law("invariant: g alternative equation", 0, lambda gg, bb, cap: all(
+        gg[n] + gg[gg[n + 1] - 1] == n for n in range(cap + 1))),
+    Law("invariant: gbar alternative equation", 4, lambda gg, bb, cap: all(
+        bb[bb[n]] + bb[n - 1] == n for n in range(4, cap + 1))),
+    Law("invariant: comparison and three-odd spacing", 1, _comparison),
+    Law("invariant: successor rank transitions", 1, _successor),
+    # Decomposition rejects a gap below 2, so a walk's relaxed form raises
+    Law("invariant: Zeckendorf round trip", 0, lambda gg, bb, cap: all(
+        sum_of(decompose(n)) == n for n in range(cap + 1))),
+)
+
+
 def compare(route: Route, expect: list[int], max_n: int) -> tuple[bool, str]:
     """Sweep route over 0..max_n against expect in one pass.
 
@@ -157,71 +198,68 @@ def _cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _check_task(task: int, max_n: int) -> list[tuple[str, bool, str, float]]:
-    """(name, ok, detail, seconds) of ROUTES[task], or of each invariant suite
-    when task is len(ROUTES), timed where it runs.  A route task reads the
-    shared g or gbar table in place and nothing another task computed."""
+def _run_suite(suite: Route | Law, max_n: int) -> tuple[str, bool, str, float]:
+    """(name, ok, detail, seconds) of one suite, timed where it runs.  A route
+    is compared with the shared g or gbar table in place and reads nothing
+    another suite computed; a law is tested on lo..min(max_n, _SPOT_CAP)."""
     started = time.perf_counter()
-    if task < len(ROUTES):
-        route = ROUTES[task]
-        table = _G if route.func == "g" else _GBAR
+    if isinstance(suite, Route):
+        table = _G if suite.func == "g" else _GBAR
         table.ensure(max_n)
-        suites = [(route.name, *compare(route, table._values, max_n))]
+        ok, detail = compare(suite, table._values, max_n)
     else:
-        suites = _invariant_suites(max_n)  # a generator: each suite runs on next()
-    timed = []
-    for suite in suites:
-        timed.append((*suite, time.perf_counter() - started))
-        started = time.perf_counter()
-    return timed
+        cap = min(max_n, _SPOT_CAP)
+        ok = suite.holds(g_values(cap + g(cap) + 2), gbar_values(cap + 2), cap)
+        detail = f"n={suite.lo}..{cap}" if suite.lo <= cap else f"no n in {suite.lo}..{cap}"
+    return suite.name, ok, detail, time.perf_counter() - started
 
 
-def _send(writer, task: int, max_n: int) -> None:
-    """A forked child's body: send _check_task's suites, or what it raised."""
+def _send(writer, suite: Route | Law, max_n: int) -> None:
+    """A forked child's body: send _run_suite's verdict, or what it raised."""
     try:
-        writer.send(_check_task(task, max_n))
+        writer.send(_run_suite(suite, max_n))
     except Exception as exc:  # the parent raises it
         writer.send(exc)
 
 
 def check(max_n: int, keys: set[str]) -> tuple[float, list[tuple[str, bool, str, float]]]:
     """Fill the shared g and gbar tables to max_n, then run the suite of
-    each route whose key is in keys and the invariant suites.  Returns
+    each route whose key is in keys and of each law.  Returns
     (fill seconds, [(name, ok, detail, seconds), ...]) in registry order.
-    From _PARALLEL_MIN up, each task runs in a fresh forked child, at most
+    From _PARALLEL_MIN up, each suite runs in a fresh forked child, at most
     one per CPU at a time, that reads the filled tables in place; below it,
-    or with one CPU or no fork, the tasks run here in turn."""
+    or with one CPU or no fork, the suites run here in turn."""
     started = time.perf_counter()
     g(max_n)
     gbar(max_n)
     filled = time.perf_counter() - started
-    tasks = [i for i, route in enumerate(ROUTES) if route.key in keys]
-    tasks.append(len(ROUTES))
-    workers = min(len(tasks), _cpus())
+    suites = [route for route in ROUTES if route.key in keys] + list(LAWS)
+    workers = min(len(suites), _cpus())
     if max_n >= _PARALLEL_MIN and workers > 1:
         import multiprocessing.connection
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
             sys.stdout.flush()  # a child flushes what it inherits on exit
-            # the invariant suites, the longest task, start first; running
-            # maps reader: (task, child)
-            queue, running, done = [tasks[-1], *tasks[:-1]], {}, {}
+            # suites start last-first, so the round trip, the longest law,
+            # starts first; running maps reader: (index, child)
+            queue, running, done = list(range(len(suites))), {}, {}
             try:
                 while queue or running:
                     while queue and len(running) < workers:
                         reader, writer = fork.Pipe(duplex=False)
-                        child = fork.Process(target=_send, args=(writer, queue[0], max_n))
+                        i = queue.pop()
+                        child = fork.Process(target=_send, args=(writer, suites[i], max_n))
                         child.start()
                         writer.close()  # so a child that dies leaves EOF here
-                        running[reader] = queue.pop(0), child
+                        running[reader] = i, child
                     for reader in multiprocessing.connection.wait(list(running)):
-                        task, child = running[reader]
+                        i, child = running[reader]
                         try:
-                            done[task] = reader.recv()
+                            done[i] = reader.recv()
                         except EOFError:  # the child exited before it sent
                             raise HofgError("a check worker died: it sent no suites")
-                        if isinstance(done[task], Exception):
-                            raise done[task]
+                        if isinstance(done[i], Exception):
+                            raise done[i]
                         del running[reader]
                         reader.close()
                         child.join()
@@ -230,44 +268,5 @@ def check(max_n: int, keys: set[str]) -> tuple[float, list[tuple[str, bool, str,
                     child.terminate()
                     child.join()
                     reader.close()
-            return filled, [suite for task in tasks for suite in done[task]]
-    return filled, [suite for task in tasks for suite in _check_task(task, max_n)]
-
-
-def _span(lo: int, hi: int) -> str:
-    return f"n={lo}..{hi}" if lo <= hi else f"no n in {lo}..{hi}"
-
-
-def _invariant_suites(max_n: int):
-    """Yield (name, ok, detail) for the six invariant spot checks."""
-    cap = min(max_n, _SPOT_CAP)
-    gg = g_values(cap + g(cap) + 2)
-    ok = all(gg[n + gg[n]] == n and gg[n + gg[n] + 1] == n + 1
-             for n in range(cap + 1))
-    yield ("invariant: largest antecedent", ok, _span(0, cap))
-
-    ok = all(gg[n] + gg[gg[n + 1] - 1] == n for n in range(cap + 1))
-    yield ("invariant: g alternative equation", ok, _span(0, cap))
-
-    bb = gbar_values(cap + 2)
-    ok = all(bb[bb[n]] + bb[n - 1] == n for n in range(4, cap + 1))
-    yield ("invariant: gbar alternative equation", ok, _span(4, cap))
-
-    # gbar - g is 1 exactly on the three-odd numbers: 7, then steps of 5 or 8
-    odd3 = [classify(n) is _THREE_ODD for n in range(1, cap + 1)]
-    marks = [n for n, odd in enumerate(odd3, 1) if odd]
-    ok = (all(bb[n] - gg[n] == odd for n, odd in enumerate(odd3, 1))
-          and all(b - a in (5, 8) for a, b in zip(marks, marks[1:]))
-          and marks[:1] == ([7] if cap >= 7 else []))
-    yield ("invariant: comparison and three-odd spacing", ok, _span(1, cap))
-
-    # low(n) = 2 makes low(n+1) odd, 3 makes it even and above 2, and
-    # anything higher makes it 2
-    lows = [low(n) for n in range(1, cap + 2)]
-    ok = all(nxt % 2 == 1 if lo == 2 else nxt % 2 == 0 and nxt != 2 if lo == 3
-             else nxt == 2 for lo, nxt in zip(lows, lows[1:]))
-    yield ("invariant: successor rank transitions", ok, _span(1, cap))
-
-    # Decomposition rejects a gap below 2, so a walk's relaxed form raises
-    ok = all(sum_of(decompose(n)) == n for n in range(cap + 1))
-    yield ("invariant: Zeckendorf round trip", ok, _span(0, cap))
+            return filled, [done[i] for i in range(len(suites))]
+    return filled, [_run_suite(suite, max_n) for suite in suites]

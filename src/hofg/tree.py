@@ -79,8 +79,8 @@ def children(func: str, n: int) -> list[int]:
 
     The rightmost child is the largest antecedent; when the node is binary
     the other child sits directly below it.  The root's single child is 2 in
-    both trees.  No table is read: n answers up to F(92) - 1 for g and F(90),
-    flip's edge, for gbar, and above them the arity's error names n.
+    both trees.  No table is read: n answers up to F(91) - 1 for g and F(90),
+    flip's edge, for gbar; above them g_max_antecedent's or the arity's error names n.
     """
     if func not in _FUNCS:
         raise DomainError(f"children: func must be 'g' or 'gbar', got {func!r}")
@@ -89,8 +89,8 @@ def children(func: str, n: int) -> list[int]:
     if n == 1:
         return [2]
     if func == "g":
-        a = g_arity(n)
         r = g_max_antecedent(n)
+        a = g_arity(n)
     else:
         a = gbar_arity(n)
         r = gbar_rightmost_child(n)

@@ -28,7 +28,7 @@ import hofg.zeckendorf as zeckendorf
 from hofg import errors, g_values, gbar_values, parse_bfile
 from hofg.cli import run
 from hofg.errors import DomainError, HofgError
-from hofg.portfolio import ROUTES
+from hofg.portfolio import LAWS, ROUTES
 
 
 def invoke(capsys, *argv):
@@ -313,6 +313,10 @@ INVARIANTS = (
 )
 
 
+def test_laws_are_the_invariant_suites_in_order():
+    assert tuple(law.name for law in LAWS) == INVARIANTS
+
+
 TWO, THREE_ODD = hofg.RankClass.TWO, hofg.RankClass.THREE_ODD
 MARKS = {n for n in range(1, 300) if hofg.classify(n) is THREE_ODD}
 
@@ -381,13 +385,16 @@ def test_check_reports_failing_invariants(capsys, monkeypatch, swaps, max_n, fai
 def test_check_fails_a_walk_that_hands_out_a_relaxed_form(capsys, monkeypatch):
     # F(17) + F(18) + F(20) = F(21), summed right but with a gap of 1: every
     # rank-sum route agrees on its value, and only the round trip's
-    # Decomposition rejects it
+    # Decomposition rejects it, in this process or in a child of its own
+    monkeypatch.setattr(portfolio, "_cpus", lambda: 2)  # workers from PARALLEL_MAX
     walk = zeckendorf._greedy_ranks
     monkeypatch.setattr(zeckendorf, "_greedy_ranks", lambda n, name: (
         (17, 18, 20) if n == 10946 else walk(n, name)))
-    code, out, err = invoke(capsys, "check", "--max", "20000")
-    assert (code, out) == (1, "")
-    assert err == "error: Decomposition: ranks 17,18 violate the minimum gap 2\n"
+    for max_n in ("20000", PARALLEL_MAX):
+        code, out, err = invoke(capsys, "check", "--max", max_n)
+        assert (code, out) == (1, ""), max_n
+        assert err == "error: Decomposition: ranks 17,18 violate the minimum gap 2\n"
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("max_n, details", [
@@ -405,19 +412,31 @@ def test_check_says_when_a_range_holds_no_n(capsys, max_n, details):
         assert re.fullmatch(suite_line("PASS", name, detail), line)
 
 
+def slow_law(monkeypatch, name):
+    """Make the law called name sleep 0.5 s, then test what it tested before."""
+    monkeypatch.setattr(portfolio, "LAWS", tuple(
+        law._replace(holds=lambda *args, holds=law.holds: time.sleep(0.5) or holds(*args))
+        if law.name == name else law for law in LAWS))
+
+
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_check_times_each_suite_where_it_runs(capsys, monkeypatch, cpus):
     monkeypatch.setattr(portfolio, "_cpus", lambda: cpus)  # 2: one worker per CPU
     monkeypatch.setattr(portfolio, "_PARALLEL_MIN", 0)  # workers from any --max
-    sabotage(monkeypatch, "gbar", "flip",
-             lambda lo, hi: time.sleep(0.5) or gbar_values(hi + 1)[lo:])
-    code, out, _ = invoke(capsys, "check", "--max", "2000")
-    assert code == 0
-    seconds = {line[6:51].rstrip(): float(line[51:].split()[0])
-               for line in out.splitlines()[:-1]}
-    assert seconds.pop("gbar: defining = flip conjugation") >= 0.5
-    assert len(seconds) == 12
-    assert max(seconds.values()) < 0.5
+    for slow in ("gbar: defining = flip conjugation", "invariant: gbar alternative equation"):
+        with monkeypatch.context() as patch:
+            if slow in INVARIANTS:
+                slow_law(patch, slow)
+            else:
+                sabotage(patch, "gbar", "flip",
+                         lambda lo, hi: time.sleep(0.5) or gbar_values(hi + 1)[lo:])
+            code, out, _ = invoke(capsys, "check", "--max", "2000")
+        assert code == 0
+        seconds = {line[6:51].rstrip(): float(line[51:].split()[0])
+                   for line in out.splitlines()[:-1]}
+        assert seconds.pop(slow) >= 0.5
+        assert len(seconds) == 12
+        assert max(seconds.values()) < 0.5, slow
 
 
 def raises(exc):
@@ -512,19 +531,21 @@ def test_check_parallel_leaves_no_child_and_no_open_pipe(capsys, monkeypatch):
 def test_check_runs_each_route_in_a_child_of_its_own(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(portfolio, "_cpus", lambda: 2)
 
-    def logged(route):
-        """route's own values, after writing the pid that computes them."""
-        def values(lo, hi):
-            (tmp_path / f"{route.func}-{route.key}").write_text(str(os.getpid()))
-            return route.values(lo, hi)
-        return values
+    def logged(label, run):
+        """run itself, after writing the pid that runs it to a file named label."""
+        def logging_run(*args):
+            (tmp_path / label).write_text(str(os.getpid()))
+            return run(*args)
+        return logging_run
 
     monkeypatch.setattr(portfolio, "ROUTES", tuple(
-        r._replace(values=logged(r)) for r in ROUTES))
+        r._replace(values=logged(f"{r.func}-{r.key}", r.values)) for r in ROUTES))
+    monkeypatch.setattr(portfolio, "LAWS", tuple(
+        law._replace(holds=logged(law.name, law.holds)) for law in LAWS))
     code, out, _ = invoke(capsys, "check", "--max", PARALLEL_MAX)
     assert code == 0, out
     pids = {int(path.read_text()) for path in tmp_path.iterdir()}
-    assert len(list(tmp_path.iterdir())) == len(pids) == len(ROUTES) == 7
+    assert len(list(tmp_path.iterdir())) == len(pids) == len(ROUTES) + len(LAWS) == 13
     assert os.getpid() not in pids
 
 
@@ -665,7 +686,7 @@ def test_check_routes_come_from_the_registry(capsys):
         assert len(lines) > len(names)
         for line, name in zip(lines, names):
             assert re.fullmatch(suite_line("PASS", name, "n=0..30"), line)
-        total = len(names) + 6  # plus the invariant suites
+        total = len(names) + len(LAWS)
         assert lines[-1].startswith(f"SUMMARY: {total}/{total} suites passed")
 
 

@@ -14,7 +14,7 @@ import pytest
 from hofg import (MemoTable, RankOverflow, cli, fib, flip_gbar, g, g_func, g_via_decomposition,
                   g_via_phi, gbar, gbar_via_complement, gbar_via_flip, gbar_via_g_correction,
                   portfolio)
-from hofg.portfolio import ROUTES, _check_task, check
+from hofg.portfolio import ROUTES, _run_suite, check
 from hofg.zeckendorf import _greedy_ranks
 
 DATA = Path(__file__).parent / "data"
@@ -125,8 +125,8 @@ def test_route_tasks_compare_against_the_shared_tables_in_place(monkeypatch):
         raise AssertionError(f"a route task copied {count} entries of {self.which}")
 
     monkeypatch.setattr(MemoTable, "prefix", no_copy)
-    for task, route in enumerate(ROUTES):
-        [(name, ok, detail, _)] = _check_task(task, 2000)
+    for route in ROUTES:
+        name, ok, detail, _ = _run_suite(route, 2000)
         assert (name, ok, detail) == (route.name, True, "n=0..2000")
 
 

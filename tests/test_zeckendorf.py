@@ -470,9 +470,10 @@ EDGES = [
     # the functions that answer through g or gbar: each names the function
     # it hands the same n to, or itself where it hands on another n
     (gbar_via_g_correction, _INV_EDGE - 1, _gbar_oracle, _overflow("g_via_decomposition")),
-    (g_max_antecedent, _INV_EDGE - 1, lambda n: n + _g_oracle(n),
-     _overflow("g_via_decomposition")),
-    (children_g, _INV_EDGE - 1, lambda n: _preimages(_g_oracle, n), _overflow("low")),
+    # the largest antecedent of F(91) is F(92), past the rank edge
+    (g_max_antecedent, _F[91] - 1, lambda n: n + _g_oracle(n), _overflow("g_max_antecedent")),
+    (children_g, _F[91] - 1, lambda n: _preimages(_g_oracle, n),
+     _overflow("g_max_antecedent")),
     (gbar_via_flip, _F[90], _gbar_oracle, _overflow("gbar_via_flip")),
     (children_gbar, _F[90], lambda n: _preimages(_gbar_oracle, n), _overflow("flip")),
     (gbar_rightmost_child, _F[91] - 1, lambda n: _preimages(_gbar_oracle, n)[-1],
