@@ -2,7 +2,7 @@
 
 Every reported failure is an explicit exception.  An input outside a public
 function's documented domain raises DomainError; past a top edge of the rank
-table it is the subclass RankOverflow, whose text names the function and n.
+table it is the subclass RankOverflow.  fibonacci._outside builds both.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ class DomainError(HofgError):
 
 
 class RankOverflow(DomainError):
-    """The input needs a Fibonacci rank beyond the fixed table (0..91)."""
+    """The input needs a rank past the fixed Fibonacci table (0..91)."""
 
 
 class _LineError(HofgError):

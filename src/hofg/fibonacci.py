@@ -2,8 +2,8 @@
 
 The sequence is F(0) = 0, F(1) = 1, F(k+2) = F(k) + F(k+1).  Values stay
 below 2**63 and ranks at most 91: the table is computed once and never
-extended.  Each public function that reads ranks checks n against its own
-top edge before its first lookup, so its RankOverflow names it and that n.
+extended.  Each public function that reads ranks tests n against its domain
+before its first lookup, and raises _outside's error, which names it and n.
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ from .errors import DomainError, RankOverflow
 
 RANK_MAX = 91
 VALUE_LIMIT = 1 << 63
+
+
+def _outside(name: str, n: int, lo: int = 0) -> DomainError:
+    """The error for n outside name's domain, which starts at lo: DomainError
+    below lo, else RankOverflow.  A guard raises it after one range test."""
+    if n < lo:
+        return DomainError(f"{name}: n must be >= {lo}, got {n}")
+    return RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
 
 
 def _build_table() -> tuple[int, ...]:
@@ -51,10 +59,8 @@ def fib_inv(n: int) -> int:
     the rank the greedy decomposition peels off first, so n = 0 (which would
     admit rank 0 and break the rank >= 2 convention) is a domain error.
     """
-    if n < 1:
-        raise DomainError(f"fib_inv: n must be >= 1, got {n}")
-    if n >= _INV_LIMIT:
-        raise RankOverflow(f"fib_inv: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    if not 1 <= n < _INV_LIMIT:
+        raise _outside("fib_inv", n, 1)
     k = _TOP_RANK[n.bit_length()]
     while _FIB[k] > n:
         k -= 1

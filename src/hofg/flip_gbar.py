@@ -15,8 +15,7 @@ that cross-validate each other:
 
 from __future__ import annotations
 
-from .errors import DomainError, RankOverflow
-from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, fib_inv
+from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, _outside, fib_inv
 from .g_func import Arity, MemoTable, g_arity, g_via_decomposition
 from .zeckendorf import _THREE_ODD, _greedy_ranks, classify
 
@@ -30,12 +29,10 @@ def depth(n: int) -> int:
     [1 + F(k+1), F(k+2)], so for n >= 2 the depth is fib_inv(n-1) - 1.
     depth(0) = 0 is a convention (0 is not a tree node).
     """
-    if n < 0:
-        raise DomainError(f"depth: n must be >= 0, got {n}")
+    if not 0 <= n <= _INV_LIMIT:  # F(92): above it, n - 1 needs rank 92
+        raise _outside("depth", n)
     if n <= 1:
         return 0
-    if n > _INV_LIMIT:  # F(92): above it, n - 1 needs rank 92
-        raise RankOverflow(f"depth: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     return fib_inv(n - 1) - 1
 
 
@@ -45,12 +42,10 @@ def flip(n: int) -> int:
     flip(n) = 1 + F(k+1) + F(k+2) - n = 1 + F(k+3) - n, an involution that
     preserves depth.  Fixed points: 0, 1, and the middles of odd blocks.
     """
-    if n < 0:
-        raise DomainError(f"flip: n must be >= 0, got {n}")
+    if not 0 <= n <= _FIB[RANK_MAX - 1]:  # F(90): above it, the rank k + 3 passes 91
+        raise _outside("flip", n)
     if n <= 1:
         return n
-    if n > _FIB[RANK_MAX - 1]:  # F(90): above it, the rank k + 3 passes 91
-        raise RankOverflow(f"flip: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     return 1 + _FIB[fib_inv(n - 1) + 2] - n  # F(k + 3)
 
 
@@ -70,10 +65,8 @@ def gbar_values(count: int) -> list[int]:
 
 def gbar_via_flip(n: int) -> int:
     """gbar(n) = flip(g(flip(n))), g by rank arithmetic: up to F(90), flip's edge."""
-    if n < 0:
-        raise DomainError(f"gbar_via_flip: n must be >= 0, got {n}")
-    if n > _FIB[RANK_MAX - 1]:  # F(90): flip's edge
-        raise RankOverflow(f"gbar_via_flip: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    if not 0 <= n <= _FIB[RANK_MAX - 1]:  # F(90): flip's edge
+        raise _outside("gbar_via_flip", n)
     return flip(g_via_decomposition(flip(n)))
 
 
@@ -85,7 +78,7 @@ def gbar_via_g_correction(n: int) -> int:
     arithmetic, up to g_via_decomposition's edge F(92) - 1.
     """
     if n < 0:
-        raise DomainError(f"gbar_via_g_correction: n must be >= 0, got {n}")
+        raise _outside("gbar_via_g_correction", n)
     return g_via_decomposition(n) + (n >= 1 and classify(n) is _THREE_ODD)
 
 
@@ -100,13 +93,10 @@ def gbar_via_complement(n: int) -> int:
 
         gbar(n) = F(k) - sum(F(i-1) for ranks i > 2)
     """
-    if n < 0:
-        raise DomainError(f"gbar_via_complement: n must be >= 0, got {n}")
+    if not 0 <= n <= _FIB[RANK_MAX]:  # F(91): above it, the rank k + 1 passes 91
+        raise _outside("gbar_via_complement", n)
     if n <= 1:
         return n
-    if n > _FIB[RANK_MAX]:  # F(91): above it, the rank k + 1 passes 91
-        raise RankOverflow(
-            f"gbar_via_complement: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
     k = fib_inv(n - 1)
     total = _FIB[k]
     for i in _greedy_ranks(_FIB[k + 1] - n, "gbar_via_complement"):
@@ -122,11 +112,8 @@ def gbar_rightmost_child(n: int) -> int:
     n = 0, which is not a tree node.  gbar_via_complement reads n + 1, so n
     answers up to F(91) - 1.
     """
-    if n < 2:
-        raise DomainError(f"gbar_rightmost_child: n must be >= 2, got {n}")
-    if n >= _FIB[RANK_MAX]:  # F(91): n + 1 passes gbar_via_complement's edge
-        raise RankOverflow(
-            f"gbar_rightmost_child: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    if not 2 <= n < _FIB[RANK_MAX]:  # F(91): n + 1 passes gbar_via_complement's edge
+        raise _outside("gbar_rightmost_child", n, 2)
     return n - 1 + gbar_via_complement(n + 1)
 
 
@@ -138,11 +125,8 @@ def gbar_leftmost_child(n: int) -> int:
     Equal to gbar_rightmost_child(n) exactly on unary nodes.  g is read by
     rank arithmetic; n answers up to F(89), whose children end at F(90).
     """
-    if n < 2:
-        raise DomainError(f"gbar_leftmost_child: n must be >= 2, got {n}")
-    if n > _FIB[RANK_MAX - 2]:  # F(89): level 88's children lie past F(90)
-        raise RankOverflow(
-            f"gbar_leftmost_child: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    if not 2 <= n <= _FIB[RANK_MAX - 2]:  # F(89): level 88's children lie past F(90)
+        raise _outside("gbar_leftmost_child", n, 2)
     f = flip(n)
     return flip(f + g_via_decomposition(f))
 
@@ -150,5 +134,5 @@ def gbar_leftmost_child(n: int) -> int:
 def gbar_arity(n: int) -> Arity:
     """Child count of node n in the gbar tree: g_arity at flip(n)."""
     if n < 1:
-        raise DomainError(f"gbar_arity: n must be >= 1, got {n}")
+        raise _outside("gbar_arity", n, 1)
     return g_arity(flip(n))

@@ -20,8 +20,8 @@ from __future__ import annotations
 from enum import Enum
 from math import isqrt
 
-from .errors import DomainError, RankOverflow
-from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX
+from .errors import DomainError
+from .fibonacci import _FIB, _INV_LIMIT, RANK_MAX, _outside
 from .zeckendorf import _greedy_ranks, low
 
 # Domain cap for the closed-form route: F(92), the rank routes' edge.  isqrt
@@ -97,7 +97,7 @@ class MemoTable:
         if 0 <= n < len(self._values):  # filled: no call to ensure
             return self._values[n]
         if n < 0:
-            raise DomainError(f"{self.which}: n must be >= 0, got {n}")
+            raise _outside(self.which, n)
         self.ensure(n)
         return self._values[n]
 
@@ -181,7 +181,7 @@ def g_via_phi(n: int) -> int:
     the variant floor(n/phi) is wrong already at n = 1.
     """
     if n < 0:
-        raise DomainError(f"g_via_phi: n must be >= 0, got {n}")
+        raise _outside("g_via_phi", n)
     if n >= PHI_DOMAIN:
         raise DomainError(f"g_via_phi: n must be < F(92) = {PHI_DOMAIN}, got {n}")
     m = n + 1
@@ -191,11 +191,8 @@ def g_via_phi(n: int) -> int:
 def g_max_antecedent(n: int) -> int:
     """Largest m with g(m) = n, namely n + g(n), g by rank arithmetic, for n
     up to F(91) - 1, whose antecedent is F(92) - 1, the rank edge."""
-    if n < 0:
-        raise DomainError(f"g_max_antecedent: n must be >= 0, got {n}")
-    if n >= _FIB[RANK_MAX]:  # F(91): its antecedent F(92) passes the rank edge
-        raise RankOverflow(
-            f"g_max_antecedent: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+    if not 0 <= n < _FIB[RANK_MAX]:  # F(91): its antecedent F(92) passes the rank edge
+        raise _outside("g_max_antecedent", n)
     return n + g_via_decomposition(n)
 
 
@@ -207,7 +204,7 @@ def g_arity(n: int) -> Arity:
     not count as a child).
     """
     if n < 1:
-        raise DomainError(f"g_arity: n must be >= 1, got {n}")
+        raise _outside("g_arity", n, 1)
     if n == 1:
         return Arity.UNARY
     return Arity.UNARY if low(n) & 1 else Arity.BINARY

@@ -112,7 +112,7 @@ def _word(mirror: bool) -> Callable[[int, int], Iterable[int]]:
         prev, word, odd = b"\x01", b"\x01\x00", True
         while len(word) < hi or (mirror and not odd):
             prev, word, odd = word, (prev + word if mirror else word + prev), not odd
-        return accumulate(word[lo:hi], initial=sum(word[:lo]))
+        return accumulate(word[lo:hi], initial=sum(word[:lo])) if lo <= hi else ()
     return values
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError
-from .fibonacci import fib
+from .fibonacci import _outside, fib
 from .flip_gbar import gbar_arity, gbar_rightmost_child, gbar_values
 from .g_func import Arity, g_arity, g_max_antecedent, g_values
 
@@ -85,7 +85,7 @@ def children(func: str, n: int) -> list[int]:
     if func not in _FUNCS:
         raise DomainError(f"children: func must be 'g' or 'gbar', got {func!r}")
     if n < 1:
-        raise DomainError(f"children: n must be >= 1, got {n}")
+        raise _outside("children", n, 1)
     if n == 1:
         return [2]
     if func == "g":

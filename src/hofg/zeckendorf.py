@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError, RankOverflow
-from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT
+from .fibonacci import _FIB, _INV_LIMIT, _TOP_RANK, RANK_MAX, VALUE_LIMIT, _outside
 
 
 class _Form(NamedTuple):
@@ -102,9 +102,7 @@ def _window(n: int, name: str) -> tuple[int, int, tuple[int, ...]]:
     next window's H.  A term is fib_inv's lookup, inlined (a call costs more):
     the top rank for the bit length, stepped down at most twice."""
     if not 0 <= n < _INV_LIMIT:
-        if n < 0:
-            raise DomainError(f"{name}: n must be >= 0, got {n}")
-        raise RankOverflow(f"{name}: n = {n} needs a Fibonacci rank beyond {RANK_MAX}")
+        raise _outside(name, n)
     r, k, peeled = n, 0, []
     while r >= _LOW_LIMIT:
         k = _TOP_RANK[r.bit_length()]
@@ -187,14 +185,14 @@ def normalize(d: Decomposition) -> Decomposition:
 def low(n: int) -> int:
     """Lowest rank in the canonical decomposition of n >= 1."""
     if n < 1:
-        raise DomainError(f"low: n must be >= 1, got {n}")
+        raise _outside("low", n, 1)
     return _greedy_ranks(n, "low")[0]
 
 
 def classify(n: int) -> RankClass:
     """RankClass of n >= 1; see RankClass for the tag definitions."""
     if n < 1:
-        raise DomainError(f"classify: n must be >= 1, got {n}")
+        raise _outside("classify", n, 1)
     ranks = _greedy_ranks(n, "classify")
     lo = ranks[0]
     if lo == 2:

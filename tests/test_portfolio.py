@@ -118,6 +118,14 @@ def test_word_routes_match_the_defining_table(func):
     assert list(route.values(0, 10**6)) == table.prefix(10**6 + 1)
 
 
+@pytest.mark.parametrize("route", ROUTES, ids=ids)
+def test_every_route_yields_nothing_on_an_empty_window(route):
+    # values(lo, hi) yields the values at lo..hi, so none when hi < lo;
+    # lo >= 1, as the rank forms test hi against their scalar's edge first
+    for lo in (1, 5, 2584, 100_000):
+        assert list(route.values(lo, lo - 1)) == [], lo
+
+
 def test_route_tasks_compare_against_the_shared_tables_in_place(monkeypatch):
     # a route task reads the filled g or gbar table as it stands: a copy of
     # its prefix would cost each forked check child 8 MB at --max 10^6

@@ -452,44 +452,47 @@ def children_gbar(n):
     return children("gbar", n)
 
 
-# Each public scalar function that reads Fibonacci ranks: its top edge, its
-# oracle, and the exact error above the edge.  The error names the function,
-# or the public function it hands n to, at the n it was given.
+# Each public scalar function that reads Fibonacci ranks: its lower edge
+# (None: any n), its top edge, its oracle, and the exact error above the top
+# edge.  That error names the function, or the public function it hands n
+# to, at the n it was given; below the lower edge the function names itself.
 EDGES = [
-    (fib_inv, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[-1], _overflow("fib_inv")),
-    (decompose, _INV_EDGE - 1, lambda n: Decomposition(_ranks_oracle(n)),
+    (fib_inv, 1, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[-1], _overflow("fib_inv")),
+    (decompose, 0, _INV_EDGE - 1, lambda n: Decomposition(_ranks_oracle(n)),
      _overflow("decompose")),
-    (low, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[0], _overflow("low")),
-    (classify, _INV_EDGE - 1, _class_oracle, _overflow("classify")),
-    (g_via_decomposition, _INV_EDGE - 1, _g_oracle, _overflow("g_via_decomposition")),
-    (g_arity, _INV_EDGE - 1, lambda n: _arity_oracle(_g_oracle, n), _overflow("low")),
-    (depth, _INV_EDGE, lambda n: bisect_left(_F, n) - 2, _overflow("depth")),
-    (flip, _F[90], _flip_oracle, _overflow("flip")),
-    (gbar_arity, _F[90], lambda n: _arity_oracle(_gbar_oracle, n), _overflow("flip")),
-    (gbar_via_complement, _F[91], _gbar_oracle, _overflow("gbar_via_complement")),
+    (low, 1, _INV_EDGE - 1, lambda n: _ranks_oracle(n)[0], _overflow("low")),
+    (classify, 1, _INV_EDGE - 1, _class_oracle, _overflow("classify")),
+    (g_via_decomposition, 0, _INV_EDGE - 1, _g_oracle, _overflow("g_via_decomposition")),
+    (g_arity, 1, _INV_EDGE - 1, lambda n: _arity_oracle(_g_oracle, n), _overflow("low")),
+    (depth, 0, _INV_EDGE, lambda n: bisect_left(_F, n) - 2, _overflow("depth")),
+    (flip, 0, _F[90], _flip_oracle, _overflow("flip")),
+    (gbar_arity, 1, _F[90], lambda n: _arity_oracle(_gbar_oracle, n), _overflow("flip")),
+    (gbar_via_complement, 0, _F[91], _gbar_oracle, _overflow("gbar_via_complement")),
     # the functions that answer through g or gbar: each names the function
     # it hands the same n to, or itself where it hands on another n
-    (gbar_via_g_correction, _INV_EDGE - 1, _gbar_oracle, _overflow("g_via_decomposition")),
+    (gbar_via_g_correction, 0, _INV_EDGE - 1, _gbar_oracle,
+     _overflow("g_via_decomposition")),
     # the largest antecedent of F(91) is F(92), past the rank edge
-    (g_max_antecedent, _F[91] - 1, lambda n: n + _g_oracle(n), _overflow("g_max_antecedent")),
-    (children_g, _F[91] - 1, lambda n: _preimages(_g_oracle, n),
+    (g_max_antecedent, 0, _F[91] - 1, lambda n: n + _g_oracle(n),
      _overflow("g_max_antecedent")),
-    (gbar_via_flip, _F[90], _gbar_oracle, _overflow("gbar_via_flip")),
-    (children_gbar, _F[90], lambda n: _preimages(_gbar_oracle, n), _overflow("flip")),
-    (gbar_rightmost_child, _F[91] - 1, lambda n: _preimages(_gbar_oracle, n)[-1],
+    (children_g, 1, _F[91] - 1, lambda n: _preimages(_g_oracle, n),
+     _overflow("g_max_antecedent")),
+    (gbar_via_flip, 0, _F[90], _gbar_oracle, _overflow("gbar_via_flip")),
+    (children_gbar, 1, _F[90], lambda n: _preimages(_gbar_oracle, n), _overflow("flip")),
+    (gbar_rightmost_child, 2, _F[91] - 1, lambda n: _preimages(_gbar_oracle, n)[-1],
      _overflow("gbar_rightmost_child")),
     # a level-88 node's smallest child is on level 89, past flip's edge F(90)
-    (gbar_leftmost_child, _F[89], lambda n: _preimages(_gbar_oracle, n)[0],
+    (gbar_leftmost_child, 2, _F[89], lambda n: _preimages(_gbar_oracle, n)[0],
      _overflow("gbar_leftmost_child")),
-    (next_three_odd, _INV_EDGE - 2,
+    (next_three_odd, None, _INV_EDGE - 2,
      lambda n: next(m for m in range(n + 1, n + 9) if _class_oracle(m) is THREE_ODD),
      (DomainError, "next_three_odd: n = {n} has no three-odd successor < F(92)")),
 ]
 
 
-@pytest.mark.parametrize("func, edge, oracle, error", EDGES,
+@pytest.mark.parametrize("func, lo, edge, oracle, error", EDGES,
                          ids=[row[0].__name__ for row in EDGES])
-def test_top_edge_answers_and_then_names_the_function_and_n(func, edge, oracle, error):
+def test_top_edge_answers_and_then_names_the_function_and_n(func, lo, edge, oracle, error):
     assert func(edge) == oracle(edge)
     kind, text = error
     for n in (edge + 1, 2**63 - 1):
@@ -498,6 +501,13 @@ def test_top_edge_answers_and_then_names_the_function_and_n(func, edge, oracle, 
         # exact: RankOverflow is itself a DomainError
         assert type(caught.value) is kind, n
         assert str(caught.value) == text.format(n=n)
+    if lo is not None:
+        func(lo)  # answers: the oracles do not all cover the root and 0
+        name = {children_g: "children", children_gbar: "children"}.get(func, func.__name__)
+        with pytest.raises(HofgError) as caught:
+            func(lo - 1)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == f"{name}: n must be >= {lo}, got {lo - 1}"
 
 
 def test_complement_route_with_and_without_a_rank_two_term():
